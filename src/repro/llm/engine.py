@@ -65,9 +65,6 @@ class SimulatedLLM:
         material = "␞".join((self.name, str(self.seed), purpose, *texts))
         return np.random.default_rng(stable_hash(material))
 
-    #: Backwards-compatible alias (pre-dates the public promotion).
-    _call_rng = call_rng
-
     # ------------------------------------------------------------------ #
     # faculties
     # ------------------------------------------------------------------ #
@@ -78,8 +75,15 @@ class SimulatedLLM:
         Each cue present in the text is detected independently with
         probability ``cue_sensitivity``.
         """
-        cues = find_cues(prompt_text)
-        rng = self._call_rng("infer", prompt_text)
+        return self._notice(prompt_text, find_cues(prompt_text))
+
+    def _notice(self, prompt_text: str, cues: dict[str, str]) -> set[str]:
+        """Which of the prompt's cue hits this model notices.
+
+        ``cues`` is ``find_cues(prompt_text)``: :meth:`respond` passes the
+        scan it already made instead of scanning the prompt twice.
+        """
+        rng = self.call_rng("infer", prompt_text)
         return {
             aspect
             for aspect in sorted(cues)
@@ -95,10 +99,11 @@ class SimulatedLLM:
         A followed ``verification`` directive roughly halves the flaw rate —
         the textual analogue of "be careful" actually making models careful.
         """
-        rng = self._call_rng("respond", prompt_text, supplement or "")
+        rng = self.call_rng("respond", prompt_text, supplement or "")
         p = self.profile
 
-        inferred = self.infer_needs(prompt_text)
+        cues = find_cues(prompt_text)
+        inferred = self._notice(prompt_text, cues)
         # Directives reach the engine either as a supplement (complement-style
         # APE) or embedded in the prompt text itself (rewrite-style APE);
         # an instruction-following model honours both.
@@ -106,8 +111,7 @@ class SimulatedLLM:
         followed = {a for a in sorted(directives) if rng.random() < p.instruction_following}
         covered = inferred | followed
 
-        cues_present = set(find_cues(prompt_text))
-        missed_trap = "logic_trap" in cues_present and "logic_trap" not in covered
+        missed_trap = "logic_trap" in cues and "logic_trap" not in covered
 
         if "brevity" in covered:
             n_elab = 1 + int(rng.integers(0, 2))
@@ -193,7 +197,7 @@ class SimulatedLLM:
             )
         )
         score = 10.0 * (0.45 * substance + 0.35 * unique_ratio + 0.2 * float(has_request))
-        noise = float(self._call_rng("grade", prompt_text).normal(0.0, 0.4))
+        noise = float(self.call_rng("grade", prompt_text).normal(0.0, 0.4))
         penalty = 0.0 if len(toks) >= 5 else 3.0
         return float(np.clip(score + noise - penalty, 0.0, 10.0))
 

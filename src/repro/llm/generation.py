@@ -141,6 +141,15 @@ def extract_topic_words(prompt_text: str, limit: int = 6) -> list[str]:
     return seen
 
 
+def _pick(rng: np.random.Generator, bank: tuple[str, ...]) -> str:
+    """One uniform draw from ``bank``.
+
+    Consumes the same generator output as ``rng.choice(bank)`` (which draws
+    ``rng.integers(len(bank))``), without converting the tuple to an array.
+    """
+    return bank[int(rng.integers(len(bank)))]
+
+
 def render_response(
     prompt_text: str,
     covered_aspects: set[str],
@@ -168,23 +177,22 @@ def render_response(
     topic_words = extract_topic_words(prompt_text)
     topic = " ".join(topic_words[:3]) if topic_words else "the question"
     parts: list[str] = []
-    intro = str(rng.choice(_INTRO_TEMPLATES)).format(topic=topic)
+    intro = _pick(rng, _INTRO_TEMPLATES).format(topic=topic)
     if len(topic_words) > 3:
         intro += " It touches on " + " and ".join(topic_words[3:5]) + "."
     parts.append(intro)
 
     for aspect in sorted(covered_aspects):
-        bank = RESPONSE_SECTIONS[aspect]
-        parts.append(str(bank[int(rng.integers(len(bank)))]))
+        parts.append(_pick(rng, RESPONSE_SECTIONS[aspect]))
 
     for slot in range(max(0, n_elaborations)):
         if slot in flawed_slots:
-            parts.append("Note that " + str(rng.choice(FLAW_MARKERS)) + " in this situation.")
+            parts.append("Note that " + _pick(rng, FLAW_MARKERS) + " in this situation.")
         else:
-            parts.append(str(rng.choice(_ELABORATION_BANK)))
+            parts.append(_pick(rng, _ELABORATION_BANK))
 
     if missed_trap:
         parts.append(_TRAP_BLUNDER)
 
-    parts.append(str(rng.choice(_CLOSING_TEMPLATES)))
+    parts.append(_pick(rng, _CLOSING_TEMPLATES))
     return " ".join(parts)

@@ -161,7 +161,7 @@ class FewShotGenerator:
         answers directly — every failure mode the critic screens for.
         """
         rng_key = stable_hash(f"fewshot␞{self.teacher.name}␞{prompt_text}␞{salt}")
-        rng = self.teacher._call_rng("fewshot", prompt_text, str(salt))
+        rng = self.teacher.call_rng("fewshot", prompt_text, str(salt))
 
         if rng.random() < self.config.direct_answer_rate:
             return _DIRECT_ANSWER_TEXT

@@ -319,6 +319,37 @@ _ASPECT_LIST: tuple[Aspect, ...] = (
 ASPECTS: dict[str, Aspect] = {a.name: a for a in _ASPECT_LIST}
 
 
+def _distinctive_fragment(template: str) -> str:
+    """A 4-word normalised fragment identifying a directive template."""
+    toks = textproc.words(template)
+    return " ".join(toks[:4])
+
+
+# Match tables, compiled once from the banks above, in registry and bank
+# order.  Every phrase is padded with one space each side, so a substring
+# test against a padded wordstream matches whole words only; the matchers
+# below tokenise only their input.  Cue and marker phrases are padded as
+# written, so they must already be in ``textproc.wordstream`` form, or they
+# can never match.
+_CUE_TABLE: tuple[tuple[str, str, str], ...] = tuple(
+    (f" {cue} ", aspect.name, cue) for aspect in _ASPECT_LIST for cue in aspect.cue_phrases
+)
+_MARKER_TABLE: tuple[tuple[str, str], ...] = tuple(
+    (f" {marker} ", aspect.name)
+    for aspect in _ASPECT_LIST
+    for marker in aspect.marker_phrases
+)
+_DIRECTIVE_TABLE: tuple[tuple[str, str], ...] = tuple(
+    (f" {_distinctive_fragment(template)} ", aspect.name)
+    for aspect in _ASPECT_LIST
+    for template in aspect.directive_templates
+)
+
+
+def _padded_stream(text: str) -> str:
+    return f" {textproc.wordstream(text)} "
+
+
 def aspect_names() -> list[str]:
     """All aspect names in registry order."""
     return [a.name for a in _ASPECT_LIST]
@@ -330,24 +361,18 @@ def find_cues(text: str) -> dict[str, str]:
     Matching is word-based (punctuation- and hyphenation-insensitive); the
     first matching cue per aspect wins.
     """
-    stream = f" {textproc.wordstream(text)} "
+    stream = _padded_stream(text)
     hits: dict[str, str] = {}
-    for aspect in _ASPECT_LIST:
-        for cue in aspect.cue_phrases:
-            if f" {cue} " in stream:
-                hits[aspect.name] = cue
-                break
+    for padded, name, cue in _CUE_TABLE:
+        if padded in stream:
+            hits.setdefault(name, cue)
     return hits
 
 
 def find_markers(text: str) -> set[str]:
     """Aspects evidenced by marker phrases in a response text."""
-    stream = f" {textproc.wordstream(text)} "
-    return {
-        aspect.name
-        for aspect in _ASPECT_LIST
-        if any(f" {marker} " in stream for marker in aspect.marker_phrases)
-    }
+    stream = _padded_stream(text)
+    return {name for padded, name in _MARKER_TABLE if padded in stream}
 
 
 def parse_directives(text: str | None) -> set[str]:
@@ -359,21 +384,8 @@ def parse_directives(text: str | None) -> set[str]:
     """
     if not text:
         return set()
-    stream = f" {textproc.wordstream(text)} "
-    found: set[str] = set()
-    for aspect in _ASPECT_LIST:
-        for template in aspect.directive_templates:
-            fragment = _distinctive_fragment(template)
-            if f" {fragment} " in stream:
-                found.add(aspect.name)
-                break
-    return found
-
-
-def _distinctive_fragment(template: str) -> str:
-    """A 4-word normalised fragment identifying a directive template."""
-    toks = textproc.words(template)
-    return " ".join(toks[:4])
+    stream = _padded_stream(text)
+    return {name for padded, name in _DIRECTIVE_TABLE if padded in stream}
 
 
 def render_directive(aspect_name: str, variant: int = 0) -> str:

@@ -1,11 +1,16 @@
 """Tests for the simulated LLM engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.golden import render_complement
+from repro.llm.api import ChatClient
 from repro.llm.engine import SimulatedLLM
 from repro.llm.profiles import CapabilityProfile
-from repro.world.aspects import find_markers, render_directive
+from repro.llm.types import build_messages
+from repro.world.aspects import aspect_names, find_markers, render_directive
 from repro.world.prompts import PromptFactory
 from repro.world.quality import assess_response, count_flaws
 
@@ -130,8 +135,6 @@ class TestRespond:
         gains = []
         for _ in range(30):
             prompt = factory.make_prompt(cue_rate=0.3)
-            from repro.core.golden import render_complement
-
             supplement = render_complement(set(prompt.needs), salt="test")
             plain = assess_response(prompt, eng.respond(prompt.text)).score
             guided = assess_response(
@@ -139,6 +142,48 @@ class TestRespond:
             ).score
             gains.append(guided - plain)
         assert np.mean(gains) > 0.3
+
+
+class TestCompletionBytes:
+    """The completion simulation's output, byte for byte, over a fixed grid.
+
+    ``respond``, ``infer_needs`` and the simulated service latency are pure
+    functions of ``(model, seed, prompt, supplement)``; serving exports,
+    cached responses and every sim metric inherit their bytes.  The digest
+    below was captured before the aspect phrase tables were compiled at
+    import, so any drift in phrase matching or in the renderer's RNG draws
+    fails here.
+    """
+
+    MODELS = ("gpt-4-0613", "gpt-3.5-turbo-1106", "qwen2-7b-chat")
+    DIGEST = "5fa9fe97dc490e8096117700e3e7d3f8b3a5442d05643c616490ba98f8d94ba6"
+
+    def _cases(self):
+        factory = PromptFactory(rng=np.random.default_rng(0))
+        names = aspect_names()
+        for i in range(40):
+            prompt = factory.make_prompt()
+            embedded = f"{prompt.text} {render_directive(names[i % len(names)], i)}"
+            yield prompt.text, None
+            yield prompt.text, render_complement(set(prompt.needs))
+            yield embedded, None
+
+    def test_respond_infer_and_latency_bytes_pinned(self):
+        cases = list(self._cases())
+        digest = hashlib.sha256()
+        for model in self.MODELS:
+            engine = SimulatedLLM(model)
+            client = ChatClient(engine)
+            for text, supplement in cases:
+                latency = client.completion_latency(build_messages(text, supplement or ""))
+                record = (
+                    model,
+                    engine.respond(text, supplement),
+                    sorted(engine.infer_needs(text)),
+                    latency,
+                )
+                digest.update(repr(record).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestGradePromptQuality:

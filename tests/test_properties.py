@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ann.bruteforce import BruteForceIndex
@@ -12,7 +12,14 @@ from repro.utils import textproc
 from repro.utils.rng import stable_hash
 from repro.utils.stats import length_controlled_win_rate, win_rate
 from repro.utils.unionfind import UnionFind
-from repro.world.aspects import aspect_names, parse_directives
+from repro.world.aspects import (
+    ASPECTS,
+    aspect_names,
+    find_cues,
+    find_markers,
+    parse_directives,
+)
+from repro.world.quality import FLAW_MARKERS
 from repro.core.golden import MAX_DIRECTIVES, render_complement
 
 _text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=200)
@@ -152,7 +159,87 @@ class TestStatsProperties:
         assert 0.0 <= length_controlled_win_rate(outcomes, deltas) <= 100.0
 
 
+# The per-phrase matchers the compiled aspect tables replaced: each call
+# re-pads every phrase and re-derives every directive fragment.  They are
+# the reference the compiled matchers must equal.
+def _reference_find_cues(text: str) -> dict[str, str]:
+    stream = f" {textproc.wordstream(text)} "
+    hits: dict[str, str] = {}
+    for aspect in ASPECTS.values():
+        for cue in aspect.cue_phrases:
+            if f" {cue} " in stream:
+                hits[aspect.name] = cue
+                break
+    return hits
+
+
+def _reference_find_markers(text: str) -> set[str]:
+    stream = f" {textproc.wordstream(text)} "
+    return {
+        aspect.name
+        for aspect in ASPECTS.values()
+        if any(f" {marker} " in stream for marker in aspect.marker_phrases)
+    }
+
+
+def _reference_parse_directives(text: str | None) -> set[str]:
+    if not text:
+        return set()
+    stream = f" {textproc.wordstream(text)} "
+    found: set[str] = set()
+    for aspect in ASPECTS.values():
+        for template in aspect.directive_templates:
+            fragment = " ".join(textproc.words(template)[:4])
+            if f" {fragment} " in stream:
+                found.add(aspect.name)
+                break
+    return found
+
+
+@st.composite
+def _bank_piece(draw, phrases):
+    """A phrase, or a truncated run of its words, with hyphen/case noise."""
+    words = draw(st.sampled_from(phrases)).split(" ")
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(words) - 1))
+        stop = draw(st.integers(start + 1, len(words)))
+        words = words[start:stop]
+    piece = draw(st.sampled_from((" ", "-", "  "))).join(words)
+    return draw(st.sampled_from((str.lower, str.upper, str.title, str.capitalize)))(piece)
+
+
+_noise = st.one_of(
+    st.sampled_from(("the", "in", "step", "re", "a", "x2")),
+    _text.map(lambda s: s[:20]),
+)
+
+
+@st.composite
+def _bank_text(draw):
+    """Phrases from a few aspects' banks, truncated fragments and noise,
+    glued by punctuation.  Drawing from few aspects makes two phrases of
+    one aspect meet in one text, where first-match order matters."""
+    aspects = draw(st.lists(st.sampled_from(list(ASPECTS.values())), min_size=1, max_size=3))
+    phrases = list(FLAW_MARKERS) + [
+        phrase
+        for aspect in aspects
+        for phrase in (*aspect.cue_phrases, *aspect.marker_phrases, *aspect.directive_templates)
+    ]
+    pieces = draw(st.lists(st.one_of(_bank_piece(phrases), _noise), min_size=1, max_size=8))
+    glue = st.sampled_from((" ", "-", ", ", ". ", "; ", "!", "'", "\n", ""))
+    return "".join(piece + draw(glue) for piece in pieces)
+
+
 class TestDirectiveProperties:
+    @given(_bank_text())
+    @example("Provide a detailed analysisx. Re-read the question carefully; it")
+    @example("how can i STEP-BY-STEP: walk me through step 1s, for example")
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    def test_compiled_matchers_equal_per_phrase_loops(self, text):
+        assert list(find_cues(text).items()) == list(_reference_find_cues(text).items())
+        assert find_markers(text) == _reference_find_markers(text)
+        assert parse_directives(text) == _reference_parse_directives(text)
+
     @given(st.sets(st.sampled_from(aspect_names()), max_size=6), _text)
     @settings(max_examples=80)
     def test_render_complement_roundtrip_under_cap(self, aspects, salt):

@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.utils import textproc
 from repro.world.aspects import (
+    _DIRECTIVE_TABLE,
     ASPECTS,
+    _distinctive_fragment,
     aspect_names,
     find_cues,
     find_markers,
     parse_directives,
     render_directive,
 )
+from repro.world.quality import FLAW_MARKERS
 
 
 class TestRegistry:
@@ -86,16 +90,30 @@ class TestFindMarkers:
 
 
 class TestBankSeparation:
-    """Directive fragments must be unique across aspects (parse integrity)."""
+    """Directive fragments must be unique across aspects (parse integrity),
+    and every bank phrase must be able to match at all."""
 
     def test_directive_fragments_unique(self):
-        from repro.world.aspects import _distinctive_fragment
-
+        # The compiled table is every template's fragment, in bank order.
+        assert list(_DIRECTIVE_TABLE) == [
+            (f" {_distinctive_fragment(template)} ", aspect.name)
+            for aspect in ASPECTS.values()
+            for template in aspect.directive_templates
+        ]
         seen = {}
-        for aspect in ASPECTS.values():
-            for template in aspect.directive_templates:
-                frag = _distinctive_fragment(template)
-                assert frag not in seen or seen[frag] == aspect.name, (
-                    f"fragment {frag!r} collides between {seen.get(frag)} and {aspect.name}"
-                )
-                seen[frag] = aspect.name
+        for frag, name in _DIRECTIVE_TABLE:
+            assert frag not in seen or seen[frag] == name, (
+                f"fragment {frag!r} collides between {seen.get(frag)} and {name}"
+            )
+            seen[frag] = name
+
+    def test_phrases_are_in_wordstream_form(self):
+        # Matching runs on padded wordstreams, so a phrase that is not its
+        # own wordstream (capitals, punctuation, hyphens, double spaces)
+        # would silently never match.
+        phrases = [
+            phrase
+            for aspect in ASPECTS.values()
+            for phrase in (*aspect.cue_phrases, *aspect.marker_phrases)
+        ] + list(FLAW_MARKERS)
+        assert [p for p in phrases if textproc.wordstream(p) != p] == []
