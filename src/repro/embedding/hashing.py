@@ -8,13 +8,13 @@ for cosine-similarity dedup.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.utils.rng import stable_hash
 
-__all__ = ["bucket_sign", "hash_features", "hash_features_batch"]
+__all__ = ["bucket_sign", "hash_features"]
 
 
 def bucket_sign(feature: str, dim: int) -> tuple[int, float]:
@@ -56,59 +56,3 @@ def hash_features(
             bucket, sign = bucket_sign(feat, dim)
             vec[bucket] += sign * w
     return vec
-
-
-def hash_features_batch(
-    feature_lists: Sequence[Sequence[str]],
-    dim: int,
-    weight_lists: Sequence[Sequence[float]],
-    cache: dict[str, tuple[int, float]] | None = None,
-) -> np.ndarray:
-    """Project many weighted feature lists into an ``(n, dim)`` matrix.
-
-    The whole batch is scattered with a single :func:`np.add.at` call over
-    (row, bucket, signed weight) triplets.  Triplets are emitted in feature
-    order, and ``np.add.at`` applies repeated indices in element order, so
-    every row is bit-identical to :func:`hash_features` on the same
-    features.
-
-    Parameters
-    ----------
-    feature_lists:
-        One feature-string list per output row.
-    dim:
-        Output dimensionality; must be positive.
-    weight_lists:
-        Per-feature weights, one list per row (lengths must match).
-    cache:
-        Optional ``feature -> (bucket, sign)`` memo shared across rows, so
-        a feature repeated anywhere in the batch is hashed only once.
-        Entries are specific to ``dim``; never share a cache across
-        different dimensionalities.
-    """
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    matrix = np.zeros((len(feature_lists), dim), dtype=np.float64)
-    if cache is None:
-        cache = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for row, (features, weights) in enumerate(
-        zip(feature_lists, weight_lists, strict=True)
-    ):
-        for feat, w in zip(features, weights, strict=True):
-            memo = cache.get(feat)
-            if memo is None:
-                memo = bucket_sign(feat, dim)
-                cache[feat] = memo
-            rows.append(row)
-            cols.append(memo[0])
-            vals.append(memo[1] * w)
-    if rows:
-        np.add.at(
-            matrix,
-            (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)),
-            np.asarray(vals, dtype=np.float64),
-        )
-    return matrix

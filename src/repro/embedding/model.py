@@ -9,7 +9,9 @@ land close in cosine space — exactly the property dedup and k-NN SFT need.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
+from numbers import Integral
 
 import numpy as np
 
@@ -17,6 +19,11 @@ from repro.embedding.hashing import bucket_sign, hash_features
 from repro.utils import textproc
 
 __all__ = ["EmbeddingModel"]
+
+#: Most n-grams one model's gram table holds.  An entry costs about 120 B,
+#: so a full table is about 4 MB; a 10k-prompt generated corpus has under
+#: 8k distinct grams.
+_TABLE_LIMIT = 1 << 15
 
 
 class EmbeddingModel:
@@ -47,10 +54,21 @@ class EmbeddingModel:
             raise ValueError(f"dim must be positive, got {dim}")
         if not char_orders and not word_orders:
             raise ValueError("at least one n-gram order is required")
+        for n in (*char_orders, *word_orders):
+            if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+                raise ValueError(f"n-gram orders must be positive integers, got {n!r}")
+        if not math.isfinite(word_weight):
+            raise ValueError(f"word_weight must be finite, got {word_weight!r}")
         self.dim = dim
-        self.char_orders = tuple(char_orders)
-        self.word_orders = tuple(word_orders)
+        self.char_orders = tuple(int(n) for n in char_orders)
+        self.word_orders = tuple(int(n) for n in word_orders)
         self.word_weight = float(word_weight)
+        # n-gram -> signed bucket under ``dim`` (see _codes).  Char grams
+        # are keyed by their string and word grams by their token tuple, so
+        # the char 3-gram "the" and the word "the" never share an entry;
+        # a key's order is its length.  It lives as long as the model:
+        # distinct prompts share most of their grams.
+        self._table: dict[str | tuple[str, ...], int] = {}
 
     def _features(self, text: str) -> tuple[list[str], list[float]]:
         feats: list[str] = []
@@ -96,68 +114,48 @@ class EmbeddingModel:
     def embed_batch(self, texts: Iterable[str]) -> np.ndarray:
         """Embed many texts into an ``(n, dim)`` matrix.
 
-        The whole batch is hashed with one :func:`hash_features_batch`
-        scatter and a shared feature-hash memo, so a feature repeated
-        anywhere in the batch pays for its blake2b digest once.  Each row
-        is bit-identical to :meth:`embed` on the same text; an empty
-        iterable returns an empty ``(0, dim)`` float matrix.
+        Each text's n-grams are looked up in the model's gram table, so a
+        gram pays for its blake2b digest once per model, not once per
+        call, and the whole batch is scattered with one ``np.bincount``.
+        Each row is bit-identical to :meth:`embed` on the same text; an
+        empty iterable returns an empty ``(0, dim)`` float matrix.
         """
         texts = list(texts)
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float64)
-        # Gram-level (bucket, sign) memos, one namespace per n-gram order:
-        # keying on the raw gram (not the "c3|…" feature string) means a
-        # repeated gram skips the feature-string construction too, not just
-        # the blake2b digest.
-        char_memos: dict[int, dict[str, tuple[int, float]]] = {
-            n: {} for n in self.char_orders
-        }
-        word_memos: dict[int, dict[tuple[str, ...], tuple[int, float]]] = {
-            n: {} for n in self.word_orders
-        }
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for row, text in enumerate(texts):
-            # Triplets are emitted in the exact order _features() lists them
-            # (char orders, then word orders), so the scatter below adds
-            # colliding features in the same order embed() does.  The text
-            # is normalised once and shared across every n-gram pass;
-            # char_ngrams/words would each normalise it again.
+        codes: list[int] = []
+        # Per row: its number of char features, then of word features.
+        counts: list[int] = []
+        for text in texts:
+            # Grams are listed in the order _features() lists them (char
+            # orders, then word orders), so the scatter below adds colliding
+            # features in the same order embed() does.  The text is
+            # normalised once for both passes.
             normalized = textproc.normalize(text)
             padded = f" {normalized} "
+            grams: list[str | tuple[str, ...]] = []
             for n in self.char_orders:
-                memo = char_memos[n]
-                for i in range(max(0, len(padded) - n + 1)):
-                    gram = padded[i : i + n]
-                    entry = memo.get(gram)
-                    if entry is None:
-                        entry = bucket_sign(f"c{n}|{gram}", self.dim)
-                        memo[gram] = entry
-                    rows.append(row)
-                    cols.append(entry[0])
-                    vals.append(entry[1])
+                grams += [padded[i : i + n] for i in range(len(padded) - n + 1)]
+            n_char = len(grams)
             toks = textproc.words_normalized(normalized)
             for n in self.word_orders:
-                memo = word_memos[n]
-                for gram in textproc.word_ngrams(toks, n):
-                    entry = memo.get(gram)
-                    if entry is None:
-                        entry = bucket_sign(f"w{n}|{' '.join(gram)}", self.dim)
-                        memo[gram] = entry
-                    rows.append(row)
-                    cols.append(entry[0])
-                    vals.append(entry[1] * self.word_weight)
-        matrix = np.zeros((len(texts), self.dim), dtype=np.float64)
-        if rows:
-            # One unbuffered scatter for the whole batch; np.add.at applies
-            # repeated (row, col) indices in element order, preserving the
-            # scalar path's summation order bit for bit.
-            np.add.at(
-                matrix,
-                (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)),
-                np.asarray(vals, dtype=np.float64),
-            )
+                grams += zip(*(toks[i:] for i in range(n)))
+            # One text's grams at a time, so a large batch never holds
+            # every gram string at once.
+            codes += self._codes(grams)
+            counts += (n_char, len(grams) - n_char)
+        signed = np.array(codes, dtype=np.intp)
+        negative = signed < 0
+        weights = np.repeat(np.tile((1.0, self.word_weight), len(texts)), counts)
+        rows = np.repeat(np.arange(len(texts)).repeat(2), counts)
+        # bincount adds each bin's weights in element order, as np.add.at
+        # and embed()'s per-feature loop do, so every row is bit-identical
+        # to embed() for any word_weight, collisions included.
+        matrix = np.bincount(
+            rows * self.dim + np.where(negative, ~signed, signed),
+            weights=np.where(negative, -weights, weights),
+            minlength=len(texts) * self.dim,
+        ).reshape(len(texts), self.dim)
         # Per-row 1-D norms (not one axis-wise reduction): np.linalg.norm
         # over an axis accumulates in a different order than the 1-D call
         # embed() makes, and the rows must match embed() bit for bit.
@@ -166,3 +164,32 @@ class EmbeddingModel:
             if norm > 1e-12:
                 matrix[i] /= norm
         return matrix
+
+    def _codes(self, grams: list[str | tuple[str, ...]]) -> list[int]:
+        """Signed buckets of ``grams`` from the gram table, hashing misses.
+
+        A code is ``bucket`` for a positive sign and ``~bucket`` for a
+        negative one.  A missed gram is hashed on its ``embed()`` feature
+        string and stored while the table holds fewer than
+        ``_TABLE_LIMIT`` grams; past that it is hashed on every occurrence.
+        Threads need no lock: two that miss one gram store the same int,
+        and at worst the table passes its limit by a few entries.
+        """
+        table = self._table
+        codes = list(map(table.get, grams))
+        if None in codes:
+            for i, code in enumerate(codes):
+                if code is None:
+                    gram = grams[i]
+                    code = table.get(gram)
+                    if code is None:
+                        if isinstance(gram, str):
+                            feature = f"c{len(gram)}|{gram}"
+                        else:
+                            feature = f"w{len(gram)}|{' '.join(gram)}"
+                        bucket, sign = bucket_sign(feature, self.dim)
+                        code = bucket if sign > 0 else ~bucket
+                        if len(table) < _TABLE_LIMIT:
+                            table[gram] = code
+                    codes[i] = code
+        return codes

@@ -1,5 +1,8 @@
 """Tests for feature hashing, the embedding model, and similarity ops."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,34 @@ class TestEmbeddingModel:
         with pytest.raises(ValueError):
             EmbeddingModel(char_orders=(), word_orders=())
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"char_orders": (0,)},
+            {"char_orders": (-2,)},
+            {"char_orders": (3, 0)},
+            {"word_orders": (0,)},
+            {"word_orders": (1, -1)},
+            {"char_orders": (2.5,)},
+            {"char_orders": (3.0,)},
+            {"word_orders": ("2",)},
+            {"word_orders": (True,)},
+        ],
+    )
+    def test_rejects_orders_it_cannot_embed_with(self, kwargs):
+        with pytest.raises(ValueError, match="n-gram orders"):
+            EmbeddingModel(**kwargs)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_word_weight(self, weight):
+        with pytest.raises(ValueError, match="word_weight"):
+            EmbeddingModel(word_weight=weight)
+
+    def test_numpy_integer_orders_are_stored_as_ints(self):
+        m = EmbeddingModel(char_orders=(np.int64(3), 4), word_orders=(np.int32(1),))
+        assert m.char_orders == (3, 4) and m.word_orders == (1,)
+        assert all(type(n) is int for n in (*m.char_orders, *m.word_orders))
+
     def test_case_insensitive(self):
         m = EmbeddingModel()
         assert cosine(m.embed("Hello World"), m.embed("hello world")) == pytest.approx(1.0)
@@ -133,6 +164,31 @@ class TestEmbedBatchParity:
         batch = m.embed_batch(self.TEXTS)
         for row, text in zip(batch, self.TEXTS):
             assert (row == m.embed(text)).all()
+
+    def test_threads_sharing_one_gram_table_agree_with_embed(self):
+        model = EmbeddingModel(dim=64, word_weight=0.3)
+        texts = [f"{t} {i}" for i, t in enumerate(self.TEXTS * 4)]
+        expected = [model.embed(t).tobytes() for t in texts]
+        results: dict[int, list[bytes]] = {}
+
+        def work(k: int) -> None:
+            order = texts[k:] + texts[:k]
+            rows = [model.embed_batch(order[i : i + 3]) for i in range(0, len(order), 3)]
+            flat = [row.tobytes() for batch in rows for row in batch]
+            results[k] = flat[-k:] + flat[:-k] if k else flat
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(results[k] == expected for k in range(8))
 
     def test_accepts_any_iterable(self):
         m = EmbeddingModel(dim=32)

@@ -51,6 +51,19 @@ class TestPredictorRoundtrip:
         with pytest.raises(ReproError):
             load_predictor(path)
 
+    def test_tampered_embedder_orders_rejected(self, trained_pas, tmp_path):
+        import json
+
+        path = save_predictor(trained_pas.predictor, tmp_path / "t")
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["meta"]))
+            labels = archive["labels"]
+            matrix = archive["matrix"]
+        meta["embedder"]["char_orders"] = [0]
+        np.savez(path, matrix=matrix, labels=labels, meta=np.array(json.dumps(meta)))
+        with pytest.raises(ValueError, match="n-gram orders"):
+            load_predictor(path)
+
 
 class TestPasModelRoundtrip:
     def test_untrained_save_rejected(self, tmp_path):

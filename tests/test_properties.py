@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.hnsw import HnswIndex
+from repro.embedding import model as embedding_model
 from repro.embedding.hashing import hash_features
 from repro.embedding.model import EmbeddingModel
 from repro.utils import textproc
@@ -74,6 +76,35 @@ class TestHashProperties:
         assert np.allclose(twice, 2 * once)
 
 
+#: The default encoder, and a small non-dyadic one: at dim=8 char and word
+#: features collide often and word_weight=0.3 makes float sums order
+#: sensitive, so only there does a scatter in the wrong order change a row.
+_EMBED_CONFIGS = ({}, {"dim": 8, "word_weight": 0.3})
+#: One model per config, reused across examples so its gram table is warm.
+_WARM_MODELS = [EmbeddingModel(**config) for config in _EMBED_CONFIGS]
+_short_text = st.sampled_from(
+    ("", " ", "x", "ab", "the", "Hé!", "the cat sat on the mat", "Ça, c'est l'été — déjà vu?")
+)
+
+
+@st.composite
+def _text_batches(draw):
+    """Texts cut into consecutive batches (some empty) at generated points."""
+    texts = draw(st.lists(st.one_of(_text, _short_text), max_size=10))
+    cuts = sorted(draw(st.sets(st.integers(0, len(texts)), max_size=4)))
+    bounds = [0, *cuts, len(texts)]
+    return [texts[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _embed_all(model, batches):
+    rows = []
+    for batch in batches:
+        matrix = model.embed_batch(batch)
+        assert matrix.shape == (len(batch), model.dim)
+        rows.extend(row.tobytes() for row in matrix)
+    return rows
+
+
 class TestEmbeddingProperties:
     @given(_text)
     @settings(max_examples=50)
@@ -82,6 +113,42 @@ class TestEmbeddingProperties:
         norm = float(np.linalg.norm(vec))
         assert norm <= 1.0 + 1e-9
         assert norm == 0.0 or abs(norm - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("which", range(len(_EMBED_CONFIGS)))
+    @given(batches=_text_batches())
+    @example(batches=[["the cat sat on the mat", "x"], [], ["", "Ça, c'est l'été — déjà vu?"]])
+    @settings(max_examples=80, deadline=None)
+    def test_batch_rows_equal_embed_warm_or_cold(self, which, batches):
+        texts = [text for batch in batches for text in batch]
+        expected = [_WARM_MODELS[which].embed(text).tobytes() for text in texts]
+        assert _embed_all(_WARM_MODELS[which], batches) == expected
+        assert _embed_all(EmbeddingModel(**_EMBED_CONFIGS[which]), batches) == expected
+
+    @pytest.mark.parametrize("which", range(len(_EMBED_CONFIGS)))
+    @given(a=_text_batches(), b=_text_batches())
+    @example(a=[["the"]], b=[["the cat sat on the mat"]])
+    @settings(max_examples=40, deadline=None)
+    def test_rows_do_not_depend_on_what_the_model_saw_first(self, which, a, b):
+        config = _EMBED_CONFIGS[which]
+        first, second = EmbeddingModel(**config), EmbeddingModel(**config)
+        a_then, then_b = _embed_all(first, a), _embed_all(first, b)
+        b_then, then_a = _embed_all(second, b), _embed_all(second, a)
+        assert a_then == then_a
+        assert then_b == b_then
+
+    def test_gram_table_stops_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(embedding_model, "_TABLE_LIMIT", 40)
+        model = EmbeddingModel(dim=8, word_weight=0.3)
+        texts = [
+            "how do i implement a binary search tree in python",
+            "compose a wedding toast with a friendly voice",
+            "the cat sat on the mat, the cat sat on the mat",
+        ]
+        for _ in range(2):
+            rows = model.embed_batch(texts)
+            for row, text in zip(rows, texts):
+                assert row.tobytes() == model.embed(text).tobytes()
+            assert len(model._table) == 40
 
 
 class TestUnionFindProperties:
