@@ -27,6 +27,12 @@ The gate also walks ``overhead``-named keys the other way: values like
 over its pre-instrumentation baseline) must stay **at or below** 1.05 —
 observability left off must be within noise of free.
 
+``cost_ratio``-named keys are gated the same way under a looser ceiling:
+``obs.tracing_on_cost_ratio`` (per-request cost with a live tracer,
+registry and event log over the same gateway with observability off)
+must stay **at or below** 1.5.  A live tracer may cost something, but
+not half again the request it traces.
+
 ``uplift``-named keys carry the adaptive-policy contract: the bandit's
 judged win-rate minus static PAS's on its best workload family
 (``policy.uplift``, written by ``test_bench_policy.py``) must stay **at
@@ -49,10 +55,14 @@ THRESHOLD = 1.0
 #: Ratio ceiling for ``*_overhead`` keys (instrumented-off vs baseline).
 OVERHEAD_THRESHOLD = 1.05
 
+#: Ratio ceiling for ``*_cost_ratio`` keys (tracing on vs tracing off).
+COST_RATIO_THRESHOLD = 1.5
+
 #: Floor for ``uplift``-named keys (adaptive-minus-static win-rate gaps).
 UPLIFT_THRESHOLD = 0.0
 
 __all__ = [
+    "collect_cost_ratios",
     "collect_overheads",
     "collect_speedups",
     "collect_trends",
@@ -115,6 +125,13 @@ def collect_overheads(node: object, prefix: str = "") -> list[tuple[str, float]]
     )
 
 
+def collect_cost_ratios(node: object, prefix: str = "") -> list[tuple[str, float]]:
+    """All ``(dotted.path, value)`` pairs for cost-ratio-named keys in ``node``."""
+    return _collect(
+        node, lambda key: key == "cost_ratio" or key.endswith("_cost_ratio"), prefix
+    )
+
+
 def collect_uplifts(node: object, prefix: str = "") -> list[tuple[str, float]]:
     """All ``(dotted.path, value)`` pairs for uplift-named keys in ``node``.
 
@@ -159,6 +176,13 @@ def main(argv: list[str]) -> int:
     for key, value in sorted(overheads):
         marker = "FAIL" if value > OVERHEAD_THRESHOLD else "ok"
         print(f"  {marker:>4}  {key} = {value:.3f} (ceiling {OVERHEAD_THRESHOLD})")
+    cost_ratios = collect_cost_ratios(payload)
+    cost_offenders = [
+        (key, value) for key, value in cost_ratios if value > COST_RATIO_THRESHOLD
+    ]
+    for key, value in sorted(cost_ratios):
+        marker = "FAIL" if value > COST_RATIO_THRESHOLD else "ok"
+        print(f"  {marker:>4}  {key} = {value:.3f} (ceiling {COST_RATIO_THRESHOLD})")
     uplifts = collect_uplifts(payload)
     uplift_offenders = [
         (key, value) for key, value in uplifts if value < UPLIFT_THRESHOLD
@@ -181,6 +205,13 @@ def main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         failed = True
+    if cost_offenders:
+        names = ", ".join(key for key, _ in cost_offenders)
+        print(
+            f"{len(cost_offenders)} cost ratio(s) above {COST_RATIO_THRESHOLD}: {names}",
+            file=sys.stderr,
+        )
+        failed = True
     if uplift_offenders:
         names = ", ".join(key for key, _ in uplift_offenders)
         print(
@@ -198,6 +229,8 @@ def main(argv: list[str]) -> int:
     summary = f"all {len(speedups)} speedups >= {THRESHOLD}"
     if overheads:
         summary += f"; all {len(overheads)} overheads <= {OVERHEAD_THRESHOLD}"
+    if cost_ratios:
+        summary += f"; all {len(cost_ratios)} cost ratios <= {COST_RATIO_THRESHOLD}"
     if uplifts:
         summary += f"; all {len(uplifts)} uplifts >= {UPLIFT_THRESHOLD}"
     print(summary)

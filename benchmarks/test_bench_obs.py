@@ -11,9 +11,9 @@ throughput bench uses:
   1.05x: observability that is off must be within noise of free.
 * ``tracing_on_cost_ratio`` — per-request cost with a fully live
   :class:`~repro.obs.Observability` bundle (tracer + registry + events)
-  relative to the same gateway with observability off.  Not gated — a
-  live tracer is allowed to cost something — but recorded so the price
-  is visible in the perf trajectory.
+  relative to the same gateway with observability off.  A live tracer is
+  allowed to cost something, so the regression gate's ceiling for it is
+  a looser 1.5x.
 
 Results merge into ``BENCH_serving.json`` next to the throughput keys:
 

@@ -27,6 +27,11 @@ from repro.world.quality import assess_response
 
 __all__ = ["JudgeConfig", "PairwiseVerdict", "LlmJudge"]
 
+#: Most ``(prompt, response)`` grades one judge memoises.  Past it, a new
+#: pair is graded on every call and not stored.  A full memo is about
+#: 0.5 MB, or 3 MB if it alone keeps 650-character responses alive.
+_GRADE_LIMIT = 1 << 12
+
 
 @dataclass(frozen=True)
 class JudgeConfig:
@@ -67,11 +72,19 @@ class PairwiseVerdict:
 
 
 class LlmJudge:
-    """Noisy, length-biased grader over the quality oracle."""
+    """Noisy, length-biased grader over the quality oracle.
+
+    An absolute grade is a pure function of the config, the prompt's
+    annotations and the response text, so :meth:`absolute_score`
+    memoises it per ``(SyntheticPrompt, response)`` (at most
+    ``_GRADE_LIMIT`` pairs).  The key is the whole prompt, not its text:
+    the oracle reads its ``needs``.
+    """
 
     def __init__(self, config: JudgeConfig | None = None):
         self.config = config or JudgeConfig()
         self.config.validate()
+        self._grades: dict[tuple[SyntheticPrompt, str], float] = {}
 
     def _noise(self, *material: str) -> float:
         key = stable_hash("␞".join((self.config.judge_model, str(self.config.seed), *material)))
@@ -79,9 +92,15 @@ class LlmJudge:
 
     def absolute_score(self, prompt: SyntheticPrompt, response: str) -> float:
         """Single-response 0-5 grade (used by the human-eval panel seeding)."""
-        true_score = assess_response(prompt, response).score
-        noisy = true_score + self._noise("abs", prompt.text, response)
-        return float(min(max(noisy, 0.0), 5.0))
+        key = (prompt, response)
+        grade = self._grades.get(key)
+        if grade is None:
+            true_score = assess_response(prompt, response).score
+            noisy = true_score + self._noise("abs", prompt.text, response)
+            grade = float(min(max(noisy, 0.0), 5.0))
+            if len(self._grades) < _GRADE_LIMIT:
+                self._grades[key] = grade
+        return grade
 
     def absolute_score_batch(
         self, prompt: SyntheticPrompt, responses: Sequence[str]

@@ -28,10 +28,17 @@ from repro.errors import BudgetExceededError, ConfigError, DeadlineExceededError
 from repro.llm.engine import SimulatedLLM
 from repro.llm.types import ChatCompletion, Message, build_messages
 from repro.obs import NULL_OBS, Observability
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy, require_finite
 from repro.text.tokenizer import Tokenizer
 
 __all__ = ["Usage", "TransientApiError", "LatencyModel", "DEFAULT_LATENCY", "ChatClient"]
+
+#: Most distinct ``(prompt, supplement)`` pairs one client memoises, per
+#: memo (completions and latency ticks).  Past it, a new pair is computed
+#: on every call and not stored.  An entry keeps its response text alive:
+#: both memos full hold about 4 MB (940 B per pair at 650-character
+#: responses), plus the prompt and supplement strings if nothing else does.
+_MEMO_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,7 @@ class LatencyModel:
     jitter: float = 0.25
 
     def __post_init__(self) -> None:
+        require_finite(self, "base_ticks", "per_token_ticks", "jitter")
         if self.base_ticks < 0 or self.per_token_ticks < 0:
             raise ConfigError(
                 "latency components must be >= 0, got "
@@ -167,6 +175,15 @@ class ChatClient:
         ``retry[n]`` child per failed attempt, carrying the failure cause
         and backoff) and outcome counters land in the metrics registry.
         Defaults to the all-null bundle: no overhead, no state.
+
+    A response, its token counts and its latency ticks are pure functions
+    of ``(engine, latency_model, prompt, supplement)``, so the client
+    memoises them per ``(prompt, supplement)`` pair (at most
+    ``_MEMO_LIMIT`` pairs each).  Everything that depends on the call
+    rather than the pair runs every time: the request budget, ``usage``,
+    the per-attempt fault, outage and failure draws with their observer
+    events, retries, backoff, the deadline, spans and counters, and the
+    fault plan's latency spike.
     """
 
     engine: SimulatedLLM
@@ -181,6 +198,12 @@ class ChatClient:
     obs: Observability = field(default=NULL_OBS, repr=False)
     usage: Usage = field(default_factory=Usage)
     _tokenizer: Tokenizer = field(default_factory=Tokenizer, repr=False)
+    _completions: dict[tuple[str, str | None], tuple[str, int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _latencies: dict[tuple[str, str | None], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_rate < 1.0:
@@ -233,6 +256,25 @@ class ChatClient:
         system_parts = [m.content for m in messages if m.role == "system"]
         return prompt, (" ".join(system_parts) if system_parts else None)
 
+    def _prompt_tokens(self, prompt: str, supplement: str | None) -> int:
+        count = self._tokenizer.count
+        return count(prompt) + (count(supplement) if supplement else 0)
+
+    def _completion(self, pair: tuple[str, str | None]) -> tuple[str, int, int]:
+        """``(content, prompt_tokens, completion_tokens)`` for one pair."""
+        pure = self._completions.get(pair)
+        if pure is None:
+            prompt, supplement = pair
+            content = self.engine.respond(prompt, supplement=supplement)
+            pure = (
+                content,
+                self._prompt_tokens(prompt, supplement),
+                self._tokenizer.count(content),
+            )
+            if len(self._completions) < _MEMO_LIMIT:
+                self._completions[pair] = pure
+        return pure
+
     def completion_latency(self, messages: list[Message]) -> int:
         """Simulated service ticks this completion will occupy in flight.
 
@@ -243,12 +285,16 @@ class ChatClient:
         advances usage — safe to evaluate at scheduling time, before (or
         without) :meth:`complete`.
         """
-        prompt, supplement = self._parse(messages)
-        n_tokens = self._tokenizer.count(prompt) + (
-            self._tokenizer.count(supplement) if supplement else 0
-        )
-        model = self.latency_model if self.latency_model is not None else DEFAULT_LATENCY
-        ticks = model.ticks(self.engine, prompt, supplement, n_tokens)
+        pair = self._parse(messages)
+        prompt, supplement = pair
+        ticks = self._latencies.get(pair)
+        if ticks is None:
+            model = self.latency_model if self.latency_model is not None else DEFAULT_LATENCY
+            ticks = model.ticks(
+                self.engine, prompt, supplement, self._prompt_tokens(prompt, supplement)
+            )
+            if len(self._latencies) < _MEMO_LIMIT:
+                self._latencies[pair] = ticks
         if self.fault_plan is not None:
             ticks += self.fault_plan.latency_ticks(prompt + (supplement or ""), 0)
         return ticks
@@ -265,7 +311,8 @@ class ChatClient:
         policy's deadline budget cannot fit another attempt; both carry an
         ``attempts`` attribute with the number of attempts actually made.
         """
-        prompt, supplement = self._parse(messages)
+        pair = self._parse(messages)
+        prompt, supplement = pair
 
         if self.max_requests is not None and self.usage.requests >= self.max_requests:
             raise BudgetExceededError(
@@ -318,11 +365,7 @@ class ChatClient:
                         retry_span.status = "error"
                         retry_span.set(cause=cause, backoff_ticks=pause)
                     continue
-                content = self.engine.respond(prompt, supplement=supplement)
-                prompt_tokens = self._tokenizer.count(prompt) + (
-                    self._tokenizer.count(supplement) if supplement else 0
-                )
-                completion_tokens = self._tokenizer.count(content)
+                content, prompt_tokens, completion_tokens = self._completion(pair)
                 self.usage.prompt_tokens += prompt_tokens
                 self.usage.completion_tokens += completion_tokens
                 span.set(attempts=attempt + 1, retries=retries)

@@ -25,7 +25,8 @@ pool only touches metrics from the calling thread, after the merge).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from functools import partial
 
 __all__ = [
     "Counter",
@@ -40,8 +41,18 @@ _LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: Mapping[str, str]) -> _LabelKey:
-    """Canonical hashable form of a label set (sorted by label name)."""
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    """Canonical hashable form of a label set (sorted by label name).
+
+    Label names are unique, so sorting the items never compares values;
+    when every value already is a ``str`` the sorted items are the key.
+    """
+    if not labels:
+        return ()
+    items = sorted(labels.items())
+    for name, value in items:
+        if type(name) is not str or type(value) is not str:
+            return tuple(sorted((str(k), str(v)) for k, v in items))
+    return tuple(items)
 
 
 def _render_labels(key: _LabelKey, extra: str = "") -> str:
@@ -65,9 +76,20 @@ class Counter:
         self._series: dict[_LabelKey, float] = {}
 
     def inc(self, amount: float = 1, **labels: str) -> None:
+        self._add(_label_key(labels), amount)
+
+    def bind(self, **labels: str) -> Callable[..., None]:
+        """:meth:`inc` for one fixed label set, canonicalised once.
+
+        ``counter.bind(**labels)(amount)`` equals ``counter.inc(amount,
+        **labels)``; like ``inc``, the handle creates its series on the
+        first update, never before.
+        """
+        return partial(self._add, _label_key(labels))
+
+    def _add(self, key: _LabelKey, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (amount={amount})")
-        key = _label_key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels: str) -> float:
@@ -175,7 +197,18 @@ class Histogram:
         return slot
 
     def observe(self, value: float, **labels: str) -> None:
-        slot = self._slot(_label_key(labels))
+        self._record(_label_key(labels), value)
+
+    def bind(self, **labels: str) -> Callable[[float], None]:
+        """:meth:`observe` for one fixed label set, canonicalised once.
+
+        Like ``observe``, the handle creates its series on the first
+        observation, never before.
+        """
+        return partial(self._record, _label_key(labels))
+
+    def _record(self, key: _LabelKey, value: float) -> None:
+        slot = self._slot(key)
         slot[bisect_left(self.buckets, value)] += 1
         slot[-2] += value
         slot[-1] += 1
@@ -303,6 +336,10 @@ class MetricsRegistry:
         self._instruments.clear()
 
 
+def _discard(value: float = 1) -> None:
+    """The bound handle of a null instrument."""
+
+
 class _NullInstrument:
     """Absorbs every instrument method as a no-op."""
 
@@ -321,6 +358,9 @@ class _NullInstrument:
 
     def observe(self, value: float, **labels: str) -> None:
         pass
+
+    def bind(self, **labels: str) -> Callable[..., None]:
+        return _discard
 
     def value(self, **labels: str) -> float:
         return 0

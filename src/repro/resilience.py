@@ -25,6 +25,7 @@ rate limiter use, so every transition is replayable in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,7 +40,24 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "augment_fault",
+    "require_finite",
 ]
+
+
+def require_finite(config: object, *names: str) -> None:
+    """Raise :class:`~repro.errors.ConfigError` naming the first field of
+    ``config`` among ``names`` that holds NaN or an infinity.
+
+    Range checks alone let NaN through (every comparison with it is
+    false), and JSON configs can carry ``NaN`` and ``Infinity``.  ``None``
+    is skipped: it means "unset" for the optional fields.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(
+                f"{type(config).__name__}.{name} must be finite, got {value}"
+            )
 
 
 def _uniform(*material: str) -> float:
@@ -118,6 +136,7 @@ class FaultPlan:
     outages: tuple[OutageWindow, ...] = ()
 
     def __post_init__(self) -> None:
+        require_finite(self, "latency_spike_ticks")
         for name in ("completion_failure_rate", "augment_failure_rate", "latency_spike_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -250,6 +269,7 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self, "base_backoff", "max_backoff", "jitter", "deadline_ticks")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.base_backoff < 0 or self.max_backoff < self.base_backoff:

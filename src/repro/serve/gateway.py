@@ -34,7 +34,7 @@ turn, complement as a preceding ``system`` turn).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -474,6 +474,14 @@ class PasGateway:
             buckets=_ATTEMPT_BUCKETS,
             help="Completion attempts per served request.",
         )
+        # Bound handles for the six updates every served request makes:
+        # each label set is canonicalised once, not per request.  The
+        # per-model ones are bound in client_for.
+        self._count_augmented = self._m_augmented.bind()
+        self._count_cache_hit = self._m_cache_hits.bind()
+        self._count_prompt_tokens = self._m_tokens.bind(kind="prompt")
+        self._count_completion_tokens = self._m_tokens.bind(kind="completion")
+        self._served_series: dict[str, tuple[dict[str, Callable], Callable]] = {}
         # Policy instruments exist only when a policy does: a registered-
         # but-empty series would still appear in metrics snapshots and
         # break byte-parity with the unpoliced gateway (the same rule the
@@ -571,6 +579,13 @@ class PasGateway:
                 latency_model=self.config.latency_model,
                 max_inflight=self.config.max_inflight,
                 obs=self.obs,
+            )
+            self._served_series[model] = (
+                {
+                    status: self._m_requests.bind(model=model, status=status)
+                    for status in ("ok", "degraded")
+                },
+                self._m_attempts.bind(model=model),
             )
         return self._clients[model]
 
@@ -790,14 +805,15 @@ class PasGateway:
             breaker.record_success(self._clock)
 
             status = "ok" if degraded_error is None else "degraded"
-            self._m_requests.inc(model=request.model, status=status)
+            count_status, observe_attempts = self._served_series[request.model]
+            count_status[status]()
             if complement:
-                self._m_augmented.inc()
+                self._count_augmented()
             if was_cached:
-                self._m_cache_hits.inc()
-            self._m_tokens.inc(completion.prompt_tokens, kind="prompt")
-            self._m_tokens.inc(completion.completion_tokens, kind="completion")
-            self._m_attempts.observe(completion.retries + 1, model=request.model)
+                self._count_cache_hit()
+            self._count_prompt_tokens(completion.prompt_tokens)
+            self._count_completion_tokens(completion.completion_tokens)
+            observe_attempts(completion.retries + 1)
             if strategy is not None:
                 # Close the loop: judge the served answer, pay the bandit.
                 # Off-corpus prompts yield no reward and no update.

@@ -8,7 +8,7 @@ usage accounting in :mod:`repro.llm.api`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Tokenizer"]
 
@@ -34,7 +34,6 @@ class Tokenizer:
     bos: str = "<s>"
     eos: str = "</s>"
     unk: str = "<unk>"
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def tokenize(self, text: str) -> list[str]:
         """Split text into lowercase word/punctuation tokens."""

@@ -1,5 +1,7 @@
 """Tests for the LLM judge and benchmark machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,45 @@ class TestJudge:
         assert batch == [judge.absolute_score(prompt, r) for r in responses]
         assert all(0.0 <= score <= 5.0 for score in batch)
         assert judge.absolute_score_batch(prompt, []) == []
+
+
+class TestGradeMemo:
+    """absolute_score memoises per (SyntheticPrompt, response)."""
+
+    def test_repeated_scores_equal_a_fresh_judge(self, factory):
+        judge = LlmJudge(JudgeConfig(seed=4))
+        engine = SimulatedLLM("gpt-4-0613")
+        pairs = []
+        for _ in range(5):
+            prompt = factory.make_prompt()
+            complement = render_complement(set(prompt.needs))
+            pairs.append((prompt, engine.respond(prompt.text)))
+            pairs.append((prompt, engine.respond(prompt.text, supplement=complement)))
+        first = [judge.absolute_score(p, r) for p, r in pairs]
+        assert [judge.absolute_score(p, r) for p, r in pairs * 2] == first * 2
+        fresh = LlmJudge(JudgeConfig(seed=4))
+        assert first == [fresh.absolute_score(p, r) for p, r in reversed(pairs)][::-1]
+        assert len(judge._grades) == len(set(pairs))
+
+    def test_equal_text_different_needs_graded_separately(self, factory):
+        prompt = factory.make_prompt(cue_rate=0.9)
+        assert prompt.needs
+        other = dataclasses.replace(prompt, needs=frozenset())
+        response = SimulatedLLM("gpt-4-0613").respond(prompt.text)
+        judge = LlmJudge()
+        grades = [judge.absolute_score(p, response) for p in (prompt, other, prompt, other)]
+        fresh = [LlmJudge().absolute_score(p, response) for p in (prompt, other)]
+        assert grades == fresh * 2
+        assert fresh[0] != fresh[1]
+
+    def test_batch_equals_scalar_loop_with_a_warm_memo(self, factory):
+        judge = LlmJudge()
+        engine = SimulatedLLM("gpt-3.5-turbo-1106")
+        prompt = factory.make_prompt()
+        responses = [engine.respond(prompt.text), ""]
+        scalar = [judge.absolute_score(prompt, r) for r in responses]
+        assert judge.absolute_score_batch(prompt, responses) == scalar
+        assert [judge.absolute_score(prompt, r) for r in responses] == scalar
 
 
 class TestBenchmarks:

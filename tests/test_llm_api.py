@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import BudgetExceededError, ConfigError
+from repro.llm import api
 from repro.llm.api import ChatClient, LatencyModel, TransientApiError, Usage
 from repro.llm.engine import SimulatedLLM
-from repro.llm.types import ChatCompletion, Message
+from repro.llm.types import ChatCompletion, Message, build_messages
+from repro.world.aspects import render_directive
 
 
 @pytest.fixture()
@@ -156,6 +158,12 @@ class TestLatencyModel:
         with pytest.raises(ConfigError):
             LatencyModel(jitter=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["base_ticks", "per_token_ticks", "jitter"])
+    def test_non_finite_components_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"LatencyModel.{name} must be finite"):
+            LatencyModel(**{name: value})
+
     def test_client_completion_latency(self):
         client = ChatClient(engine=SimulatedLLM("gpt-4-0613"))
         messages = [Message("user", "how do i parse csv files? show me how.")]
@@ -171,3 +179,51 @@ class TestLatencyModel:
     def test_max_inflight_validation(self):
         with pytest.raises(ValueError):
             ChatClient(engine=SimulatedLLM("gpt-4-0613"), max_inflight=0)
+
+
+class TestCompletionMemo:
+    """A client memoises the pure part of a completion per (prompt, supplement)."""
+
+    PAIRS = [
+        ("how do i bake bread?", ""),
+        ("how do i bake bread?", render_directive("examples")),
+        ("why does my regex backtrack so much? be concise.", ""),
+        ("why does my regex backtrack so much? be concise.", render_directive("depth")),
+    ]
+
+    def test_respond_runs_once_per_distinct_pair(self, monkeypatch):
+        client = ChatClient(engine=SimulatedLLM("gpt-4-0613"))
+        respond = client.engine.respond
+        calls = []
+
+        def counting_respond(prompt, supplement=None):
+            calls.append((prompt, supplement))
+            return respond(prompt, supplement=supplement)
+
+        monkeypatch.setattr(client.engine, "respond", counting_respond)
+        sequence = self.PAIRS * 3
+        completions = [client.complete(build_messages(p, s)) for p, s in sequence]
+        assert len(calls) == len(set(calls)) == len(self.PAIRS)
+        assert completions == [
+            ChatClient(engine=SimulatedLLM("gpt-4-0613")).complete(build_messages(p, s))
+            for p, s in sequence
+        ]
+        # Usage still counts every call, hit or miss.
+        assert client.usage.requests == len(sequence)
+        assert client.usage.prompt_tokens == sum(c.prompt_tokens for c in completions)
+        assert client.usage.completion_tokens == sum(
+            c.completion_tokens for c in completions
+        )
+
+    def test_results_match_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(api, "_MEMO_LIMIT", 2)
+        client = ChatClient(engine=SimulatedLLM("gpt-4-0613"))
+        for _ in range(2):
+            for prompt, supplement in self.PAIRS:
+                messages = build_messages(prompt, supplement)
+                fresh = ChatClient(engine=SimulatedLLM("gpt-4-0613"))
+                assert client.completion_latency(messages) == fresh.completion_latency(
+                    messages
+                )
+                assert client.complete(messages) == fresh.complete(messages)
+        assert len(client._completions) == len(client._latencies) == 2

@@ -52,6 +52,61 @@ class TestCounter:
         assert isinstance(c.value(kind="prompt"), int)
 
 
+class TestBoundHandles:
+    """``bind(**labels)`` returns the instrument's update for one label set."""
+
+    def test_counter_handle_equals_inc(self):
+        bound, direct = Counter("x"), Counter("x")
+        ok = bound.bind(model="m", status="ok")
+        plain = bound.bind()
+        numeric = bound.bind(shard=3, model="m")
+        for amount in (1, 2, 0.5):
+            ok(amount)
+            direct.inc(amount, status="ok", model="m")
+        plain()
+        direct.inc()
+        numeric(4)
+        direct.inc(4, shard=3, model="m")
+        assert bound.as_dict() == direct.as_dict()
+        assert bound.render() == direct.render()
+        with pytest.raises(ValueError):
+            ok(-1)
+
+    def test_histogram_handle_equals_observe(self):
+        bound = Histogram("h", buckets=(1.0, 4.0))
+        direct = Histogram("h", buckets=(1.0, 4.0))
+        observe = bound.bind(model="m")
+        for value in (0.5, 1.0, 3, 9):
+            observe(value)
+            direct.observe(value, model="m")
+        assert bound.as_dict() == direct.as_dict()
+
+    def test_handle_creates_no_series_before_first_update(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c")
+        histogram = reg.histogram("h", buckets=(1.0,))
+        inc = counter.bind(kind="prompt")
+        observe = histogram.bind(model="m")
+        assert counter.series() == {} and histogram.as_dict()["series"] == []
+        inc(0)
+        observe(2.0)
+        assert counter.series() == {(("kind", "prompt"),): 0}
+        assert histogram.count(model="m") == 1
+
+    def test_label_keys_canonical_whatever_the_value_types(self):
+        c = Counter("x")
+        c.inc(b="2", a=1)
+        c.inc(a="1", b=2)
+        c.bind(b="2", a="1")()
+        assert c.series() == {(("a", "1"), ("b", "2")): 3}
+
+    def test_null_handles_are_inert(self):
+        reg = NullRegistry()
+        reg.counter("c").bind(model="m")(3)
+        reg.histogram("h").bind()(2.0)
+        assert reg.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
+
+
 class TestGauge:
     def test_set_inc_dec(self):
         g = Gauge("depth")

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -10,6 +12,12 @@ from repro.ann.hnsw import HnswIndex
 from repro.embedding import model as embedding_model
 from repro.embedding.hashing import hash_features
 from repro.embedding.model import EmbeddingModel
+from repro.errors import ReproError
+from repro.llm import api as llm_api
+from repro.llm.api import ChatClient
+from repro.llm.engine import SimulatedLLM
+from repro.llm.types import Message
+from repro.resilience import FaultPlan, OutageWindow, RetryPolicy
 from repro.utils import textproc
 from repro.utils.rng import stable_hash
 from repro.utils.stats import length_controlled_win_rate, win_rate
@@ -319,3 +327,83 @@ class TestDirectiveProperties:
     @settings(max_examples=40)
     def test_small_sets_roundtrip_exactly(self, aspects):
         assert parse_directives(render_complement(aspects)) == aspects
+
+
+# ---------------------------------------------------------------------- #
+# The client's completion memo is invisible
+# ---------------------------------------------------------------------- #
+
+_MEMO_PROMPTS = (
+    "how do i bake bread?",
+    "why does my regex backtrack so much? be concise.",
+    "how do i profile python code? please explain it in detail.",
+)
+_MEMO_SUPPLEMENTS = (
+    None,
+    "",
+    render_complement({"examples"}),
+    render_complement({"depth", "verification"}, salt="memo"),
+)
+_memo_calls = st.lists(
+    st.tuples(
+        st.sampled_from(("complete", "latency")),
+        st.sampled_from(_MEMO_PROMPTS),
+        st.sampled_from(_MEMO_SUPPLEMENTS),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _memo_client(faulted: bool, events: list) -> ChatClient:
+    """A client, optionally under completion failures, latency spikes and
+    an outage window with a deadline; ``events`` collects injected faults."""
+    if not faulted:
+        return ChatClient(engine=SimulatedLLM("gpt-4-0613"))
+    plan = FaultPlan(
+        seed=3,
+        completion_failure_rate=0.4,
+        latency_spike_rate=0.3,
+        latency_spike_ticks=2,
+        outages=(OutageWindow("gpt-4-0613", 4, 7),),
+    )
+    plan.attach_observer(lambda stage, key, detail: events.append((stage, key, detail)))
+    return ChatClient(
+        engine=SimulatedLLM("gpt-4-0613"),
+        failure_rate=0.1,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(max_retries=3, deadline_ticks=8.0, seed=3),
+    )
+
+
+def _memo_call(client: ChatClient, op: str, messages: list[Message]):
+    """One call's outcome: a completion, latency ticks, or the error's
+    type, message and attempt count."""
+    try:
+        if op == "latency":
+            return client.completion_latency(messages)
+        return client.complete(messages)
+    except ReproError as error:
+        return type(error), str(error), getattr(error, "attempts", None)
+
+
+class TestCompletionMemoProperties:
+    @pytest.mark.parametrize("faulted", [False, True])
+    @given(calls=_memo_calls)
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_client_equals_unmemoised(self, faulted, calls):
+        memo_events: list = []
+        plain_events: list = []
+        memoised = _memo_client(faulted, memo_events)
+        plain = _memo_client(faulted, plain_events)
+        for op, prompt, supplement in calls:
+            messages = [Message("user", prompt)]
+            if supplement is not None:
+                messages.insert(0, Message("system", supplement))
+            got = _memo_call(memoised, op, messages)
+            with mock.patch.object(llm_api, "_MEMO_LIMIT", 0):
+                expected = _memo_call(plain, op, messages)
+            assert got == expected
+            assert memoised.usage == plain.usage
+            assert memo_events == plain_events
+        assert not plain._completions and not plain._latencies

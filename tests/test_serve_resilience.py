@@ -10,6 +10,7 @@ requests whose augmentation failed.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -18,13 +19,20 @@ from repro.errors import (
     ConfigError,
     DeadlineExceededError,
 )
-from repro.llm.api import ChatClient, TransientApiError
+from repro.judge import judge
+from repro.llm import api
+from repro.llm.api import ChatClient, LatencyModel, TransientApiError
 from repro.llm.engine import SimulatedLLM
 from repro.llm.types import Message, build_messages
+from repro.obs import Observability
+from repro.policy import AugmentationPolicy, PolicyConfig
 from repro.resilience import NO_FAULTS, CircuitBreaker, FaultPlan, OutageWindow, RetryPolicy
+from repro.serve.engine import EngineConfig, ServingEngine
 from repro.serve.gateway import GatewayConfig, PasGateway
 from repro.serve.scheduler import MicroBatcher
+from repro.serve.traffic import TrafficConfig, TrafficGenerator
 from repro.serve.types import ServeRequest, ServeResponse
+from repro.world.prompts import PromptFactory
 
 #: CI's chaos job exports PAS_CHAOS_SEED to shift the whole seed set.
 CHAOS_OFFSET = int(os.environ.get("PAS_CHAOS_SEED", "0"))
@@ -93,6 +101,11 @@ class TestFaultPlan:
         with pytest.raises(ConfigError):
             OutageWindow("m", 5, 5)
 
+    @pytest.mark.parametrize("ticks", [float("nan"), float("inf")])
+    def test_non_finite_spike_ticks_rejected(self, ticks):
+        with pytest.raises(ConfigError, match="FaultPlan.latency_spike_ticks must be finite"):
+            FaultPlan(latency_spike_ticks=ticks)
+
 
 class TestRetryPolicy:
     def test_backoff_caps_and_grows(self):
@@ -118,6 +131,36 @@ class TestRetryPolicy:
             RetryPolicy(base_backoff=2.0, max_backoff=1.0)
         with pytest.raises(ConfigError):
             RetryPolicy(deadline_ticks=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["base_backoff", "max_backoff", "jitter", "deadline_ticks"]
+    )
+    def test_non_finite_fields_rejected(self, name, value):
+        # A NaN deadline used to switch the deadline off silently, and a
+        # NaN backoff or jitter gave NaN pauses.
+        with pytest.raises(ConfigError, match=f"RetryPolicy.{name} must be finite"):
+            RetryPolicy(**{name: value})
+
+    @pytest.mark.parametrize(
+        "section, name, message",
+        [
+            ("retry_policy", "deadline_ticks", "RetryPolicy.deadline_ticks must be finite"),
+            ("latency_model", "base_ticks", "LatencyModel.base_ticks must be finite"),
+            ("fault_plan", "completion_failure_rate", "completion_failure_rate must be in"),
+        ],
+    )
+    def test_nan_in_json_gateway_config_rejected(self, section, name, message):
+        data = GatewayConfig(
+            fault_plan=FaultPlan(seed=1),
+            retry_policy=RetryPolicy(deadline_ticks=3.0),
+            latency_model=LatencyModel(),
+        ).as_dict()
+        data[section][name] = float("nan")
+        text = json.dumps(data)
+        assert "NaN" in text  # what a hand-authored config can hold
+        with pytest.raises(ConfigError, match=message):
+            GatewayConfig.from_dict(json.loads(text))
 
 
 class TestCircuitBreaker:
@@ -420,6 +463,68 @@ class TestChaos:
             responses
         )
         assert sum(r.n_failed for r in batcher.records) == gateway.stats.failures
+
+
+class TestMemoParity:
+    """The client's completion memo and the judge's grade memo are
+    invisible: a faulted, policied engine run is byte-identical with both
+    memos on and with both capped at zero."""
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_zipf_run_identical_with_memos_off(self, trained_pas, seed, tmp_path, monkeypatch):
+        factory = PromptFactory(rng=np.random.default_rng(11 + seed))
+        corpus = [factory.make_prompt(cue_rate=0.9) for _ in range(12)]
+        trace = TrafficGenerator(
+            [p.text for p in corpus],
+            TrafficConfig(n_requests=120, seed=seed, mean_gap_ticks=0.5),
+        ).trace()
+
+        def run(tag):
+            obs = Observability.enabled(trace_capacity=4096, event_capacity=65536)
+            policy = AugmentationPolicy.from_config(
+                trained_pas,
+                PolicyConfig(enabled=True, judge_seed=seed, seed=seed, epsilon=0.3),
+                corpus=corpus,
+            )
+            gateway = PasGateway(
+                trained_pas,
+                GatewayConfig(
+                    cache_size=8,
+                    seed=0,
+                    fault_plan=FaultPlan(
+                        seed=seed, latency_spike_rate=0.2, **CHAOS_PLAN_KWARGS
+                    ),
+                    retry_policy=RetryPolicy(max_retries=2, deadline_ticks=16.0, seed=seed),
+                    breaker_threshold=3,
+                    breaker_recovery_ticks=6,
+                ),
+                obs=obs,
+                policy=policy,
+            )
+            result = ServingEngine(gateway, EngineConfig(max_inflight=4)).run(trace)
+            events = tmp_path / f"events-{tag}.jsonl"
+            obs.events.export_jsonl(events)
+            memo_sizes = (
+                len(gateway.client_for("gpt-4-0613")._completions),
+                len(policy.scorer.judge._grades),
+            )
+            served = gateway.stats.served
+            return (
+                result.responses,
+                gateway.stats.as_dict(),
+                obs.metrics.snapshot(),
+                events.read_bytes(),
+            ), memo_sizes, served
+
+        memoised, (completions, grades), served = run("memo")
+        # The trace repeats pairs, so both memos were hit.
+        assert 0 < completions < served
+        assert 0 < grades < served
+        monkeypatch.setattr(api, "_MEMO_LIMIT", 0)
+        monkeypatch.setattr(judge, "_GRADE_LIMIT", 0)
+        plain, memo_sizes, _ = run("plain")
+        assert memo_sizes == (0, 0)
+        assert plain == memoised
 
 
 class TestNoopPlanParity:

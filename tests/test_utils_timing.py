@@ -9,7 +9,12 @@ import pytest
 from repro.utils.timing import StageTimer, TimingResult, speedup, time_call, time_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from check_bench_regression import collect_overheads, collect_speedups, main  # noqa: E402
+from check_bench_regression import (  # noqa: E402
+    collect_cost_ratios,
+    collect_overheads,
+    collect_speedups,
+    main,
+)
 
 
 class ManualClock:
@@ -212,6 +217,27 @@ class TestBenchRegressionGate:
         path.write_text(json.dumps(payload))
         assert main([str(path)]) == 1
         assert "obs.obs_off_overhead" in capsys.readouterr().err
+
+    def test_collects_cost_ratio_named_keys(self):
+        payload = {
+            "obs": {"tracing_on_cost_ratio": 1.1, "obs_off_overhead": 1.0},
+            "embed": {"speedup": 2.5},
+        }
+        assert dict(collect_cost_ratios(payload)) == {"obs.tracing_on_cost_ratio": 1.1}
+
+    def test_passes_when_cost_ratio_at_ceiling(self, tmp_path, capsys):
+        payload = {"embed": {"speedup": 2.0}, "obs": {"tracing_on_cost_ratio": 1.5}}
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(payload))
+        assert main([str(path)]) == 0
+        assert "cost ratios <= 1.5" in capsys.readouterr().out
+
+    def test_fails_on_cost_ratio_above_ceiling(self, tmp_path, capsys):
+        payload = {"embed": {"speedup": 2.0}, "obs": {"tracing_on_cost_ratio": 1.6}}
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(payload))
+        assert main([str(path)]) == 1
+        assert "obs.tracing_on_cost_ratio" in capsys.readouterr().err
 
     def test_rejects_missing_file_and_empty_payload(self, tmp_path):
         assert main([str(tmp_path / "absent.json")]) == 2
