@@ -16,10 +16,16 @@ there is no deletion.
 Storage is one contiguous, preallocated ``(capacity, dim)`` array grown
 geometrically, with per-row norms cached at insert time.  Every hop of
 every graph routine computes its distances with a single gather plus one
-BLAS matrix-vector product (:meth:`HnswIndex._distances_to`) instead of a
+row-wise dot product (:meth:`HnswIndex._distances_to`) instead of a
 per-neighbour Python loop — the same kernel serves ``add``, ``search``,
-``search_batch`` and ``knn_graph``, which is what makes the batched paths
-bit-identical to their scalar counterparts.
+``search_batch``, ``knn_graph`` and the exact scans.  Each pair's distance
+depends only on the two rows: not on which one is the query, nor on the
+other ids gathered with it.  That pairwise property is what makes the
+batched paths, the scans and the beam agree bit for bit, and it is what
+lets the neighbour heuristic compute one distance row per *kept*
+neighbour instead of one per examined candidate.  It holds for
+C-contiguous queries only, so every public entry point makes its query
+contiguous once.
 
 Two result surfaces share one search core: the tuple API (``search`` /
 ``search_batch``, lists of ``(key, distance)`` pairs) and the array API
@@ -190,18 +196,26 @@ class HnswIndex:
     ) -> np.ndarray:
         """Distances from ``query`` to the stored vectors ``ids``.
 
-        One gather plus one BLAS matrix-vector product per call.  Both the
-        per-item and the batched public paths funnel through this kernel,
-        so their floating-point results agree bit for bit (a GEMM over the
-        whole batch would not: OpenBLAS GEMM and GEMV accumulate partial
-        sums differently in the last ulp).
+        One gather plus one row-wise reduction per call: ``np.vecdot`` for
+        cosine, a squared-difference ``einsum`` for l2.  Each value is a
+        function of its pair alone.  ``dist(a, b)`` has the same bits
+        whichever row is the query, whatever other ids share the gather,
+        and in whatever order.  :meth:`_select_neighbors` relies on that
+        symmetry, and every scalar, batched, scan and beam path agrees bit
+        for bit because of it.  A BLAS matrix-vector product has neither
+        property: it blocks rows, so a pair's last ulp moves with the
+        gather's shape.
+
+        ``query`` must be C-contiguous: ``vecdot`` rounds a strided
+        operand differently.  Stored rows are contiguous, and every public
+        entry point copies a strided query once before it gets here.
         """
         idx = np.asarray(ids, dtype=np.intp)
         sub = self._vectors[idx]
         if self.metric == "l2":
             diff = sub - query
             return np.einsum("ij,ij->i", diff, diff)
-        dots = sub @ query
+        dots = np.vecdot(sub, query)
         denom = self._norms[idx] * qnorm
         if self._min_norm * qnorm >= 1e-12:
             # Every stored norm is >= _min_norm, so no denom can be
@@ -247,7 +261,7 @@ class HnswIndex:
     def _query_kernel(self, query: np.ndarray, qnorm: float):
         """Distance kernel bound to one query: ``kernel(ids) -> distances``.
 
-        Float mode binds the exact gather+GEMV kernel; int8 mode quantises
+        Float mode binds the exact gather+vecdot kernel; int8 mode quantises
         the query once and binds the code kernel.  Every traversal routine
         (greedy descent, beam search on any layer) goes through the kernel,
         so the two modes share identical control flow.
@@ -387,30 +401,40 @@ class HnswIndex:
     def _select_neighbors(
         self, candidates: list[tuple[float, int]], m: int
     ) -> list[int]:
-        """Diversity heuristic: keep a candidate only if it is closer to the
-        query than to every already-selected neighbour."""
-        selected: list[tuple[float, int]] = []
-        selected_ids: list[int] = []
-        for d, nid in sorted(candidates):
-            if len(selected) >= m:
-                break
-            if selected_ids:
-                to_selected = self._distances_to(
-                    self._vectors[nid], selected_ids, self._norms[nid]
-                )
-                if bool((to_selected < d).any()):
-                    continue
-            selected.append((d, nid))
-            selected_ids.append(nid)
-        if len(selected) < m:  # backfill with nearest remaining candidates
-            chosen = set(selected_ids)
-            for d, nid in sorted(candidates):
-                if len(selected) >= m:
-                    break
-                if nid not in chosen:
-                    selected.append((d, nid))
-                    chosen.add(nid)
-        return [nid for _, nid in selected]
+        """Diversity heuristic (Malkov & Yashunin, Alg. 4).
+
+        Walks ``(distance, node_id)`` candidates nearest-first and keeps
+        one only if it is closer to the query than to every neighbour
+        already kept; if fewer than ``m`` survive, the nearest rejected
+        candidates backfill the list.
+
+        The kernel computes one distance row per *kept* neighbour, not
+        one per examined candidate.  Keeping ``s`` measures ``dist(s, c)``
+        for every later candidate ``c`` still in play, in one call, and
+        drops each ``c`` with ``dist(s, c) < d(c)``.  A candidate is thus
+        rejected iff some earlier kept neighbour is closer to it than the
+        query is, which is the per-candidate test, because the kernel is
+        symmetric and independent of the gather (see
+        :meth:`_distances_to`).
+        """
+        ordered = sorted(candidates)
+        n = len(ordered)
+        ids = np.array([nid for _, nid in ordered], dtype=np.intp)
+        dists = np.array([d for d, _ in ordered], dtype=np.float64)
+        kept: list[int] = []  # positions in ``ordered``
+        alive = np.arange(n)  # positions not yet kept or rejected
+        while alive.size and len(kept) < m:
+            head, rest = int(alive[0]), alive[1:]
+            kept.append(head)
+            if rest.size and len(kept) < m:
+                nid = ids[head]
+                row = self._distances_to(self._vectors[nid], ids[rest], self._norms[nid])
+                rest = rest[~(row < dists[rest])]
+            alive = rest
+        if len(kept) < m:  # backfill with the nearest rejected candidates
+            taken = set(kept)
+            kept += [i for i in range(n) if i not in taken][: m - len(kept)]
+        return ids[kept].tolist()
 
     def _link(self, source: int, target: int, layer: int, cap: int) -> None:
         """Add a directed edge, shrinking with the heuristic if over capacity."""
@@ -776,7 +800,7 @@ class HnswIndex:
             raise IndexError_(f"k must be >= 1, got {k}")
         if self._entry is None:
             return []
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        query = np.ascontiguousarray(query, dtype=np.float64).reshape(-1)
         if query.shape[0] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {query.shape[0]}")
         return self._search_one(query, self._query_norm(query), k, ef)
@@ -793,7 +817,7 @@ class HnswIndex:
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        matrix = np.asarray(queries, dtype=np.float64)
+        matrix = np.ascontiguousarray(queries, dtype=np.float64)
         if matrix.size == 0 and matrix.ndim <= 2:
             return []
         matrix = np.atleast_2d(matrix)
@@ -820,7 +844,7 @@ class HnswIndex:
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        matrix = np.asarray(queries, dtype=np.float64)
+        matrix = np.ascontiguousarray(queries, dtype=np.float64)
         if matrix.size == 0 and matrix.ndim <= 2:
             return (
                 np.full((0, k), -1, dtype=np.int64),

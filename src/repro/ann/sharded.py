@@ -8,7 +8,7 @@ round-robin across K independent ``HnswIndex`` shards, so
 * **build** inserts into K graphs of ``n / K`` nodes each — cheaper even
   serially, because insertion cost grows with graph size — and runs the
   per-shard builds in a thread pool (numpy releases the GIL inside the
-  gather+gemv distance kernel);
+  gather+vecdot distance kernel);
 * **search** fans each query out to every shard and merges the per-shard
   top-k answers in one vectorised pass.
 
@@ -17,7 +17,7 @@ single index would, so the fan-out picks a per-shard strategy by size:
 
 * a shard at or below ``scan_threshold`` elements answers with one exact
   vectorised scan (:meth:`~repro.ann.hnsw.HnswIndex._scan_raw`) — at small
-  n a single gather+GEMV over the whole shard is an order of magnitude
+  n a single gather+vecdot over the whole shard is an order of magnitude
   cheaper than walking the graph, and it is exhaustive, so small-corpus
   recall can only improve;
 * a larger shard answers with a *routed* scan
@@ -424,7 +424,7 @@ class ShardedHnswIndex:
         """Up to ``k`` ``(key, distance)`` pairs merged across all shards."""
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        query = np.ascontiguousarray(query, dtype=np.float64).reshape(-1)
         if query.shape[0] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {query.shape[0]}")
         if self._count == 0:
@@ -491,7 +491,7 @@ class ShardedHnswIndex:
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        matrix = np.asarray(queries, dtype=np.float64)
+        matrix = np.ascontiguousarray(queries, dtype=np.float64)
         if matrix.size == 0 and matrix.ndim <= 2:
             return None, None, 0
         matrix = np.atleast_2d(matrix)

@@ -3,8 +3,9 @@
 The paper embeds prompts, clusters them with HNSW, and keeps a small number
 of representatives per cluster.  Here: build an HNSW index over the
 embeddings, take each element's k nearest neighbours, union every pair whose
-cosine similarity exceeds a threshold, and keep up to ``keep_per_group``
-representatives (lowest original index first, so results are stable).
+cosine similarity is at or above a threshold, and keep up to
+``keep_per_group`` representatives (lowest original index first, so results
+are stable).
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ __all__ = ["DedupResult", "deduplicate"]
 
 #: Dedup ANN backends: ``auto`` picks sharded iff ``n_shards > 1``.
 _BACKENDS = ("auto", "hnsw", "sharded")
+
+#: Smallest distance cut.  A row and an exact or positive-scaled copy of it
+#: land a few ulps off cosine distance 0 (up to 4.4e-16 on Gaussian rows of
+#: 4 to 1024 dims), because the dot product and both norms round
+#: separately, so ``threshold=1.0`` ("exact duplicates only") needs a cut
+#: above 0.  The rounding grows at worst like ``2 * dim * eps``, about 9e-13
+#: at 4096 dims; only thresholds within 1e-12 of 1 reach this floor.
+_COPY_DISTANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,8 @@ def deduplicate(
     embeddings:
         ``(n, dim)`` matrix of (ideally L2-normalised) vectors.
     threshold:
-        Cosine similarity above which two elements count as duplicates.
+        Cosine similarity at or above which two elements count as
+        duplicates.  ``1.0`` groups exact and positive-scaled copies only.
     k_neighbors:
         Neighbours examined per element when proposing duplicate pairs.
     keep_per_group:
@@ -133,7 +143,7 @@ def deduplicate(
         graph = index.knn_graph(k_neighbors, ef=ef_search)
 
     uf = UnionFind(n)
-    max_distance = 1.0 - threshold  # cosine distance equivalent
+    max_distance = max(1.0 - threshold, _COPY_DISTANCE_TOL)  # cosine distance
     for key, hits in graph.items():
         for other, dist in hits:
             if dist <= max_distance:

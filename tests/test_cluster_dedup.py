@@ -5,6 +5,37 @@ import pytest
 
 from repro.cluster.dedup import deduplicate
 from repro.embedding.model import EmbeddingModel
+from repro.pipeline.collect import CollectionConfig
+from repro.pipeline.config import PipelineConfig
+from repro.world.prompts import CorpusConfig, PromptFactory
+
+#: Indices that ``deduplicate`` drops from ``PromptFactory(rng=
+#: default_rng(seed)).make_corpus(CorpusConfig(n_prompts=250))`` with the
+#: pipeline's dedup parameters, captured before the HNSW neighbour
+#: heuristic and distance kernel were rewritten.  ``kept`` is the
+#: complement in ``range(250)``; the dropped side is the shorter literal.
+_GOLDEN_DROPPED = {
+    0: [
+        10, 16, 19, 21, 29, 35, 39, 43, 44, 50, 64, 81, 91, 98, 103,
+        105, 116, 119, 125, 127, 131, 134, 137, 139, 143, 152, 162,
+        168, 172, 174, 179, 180, 181, 183, 187, 194, 196, 198, 203,
+        204, 205, 220, 229, 230, 234, 236, 239, 243, 244, 246
+    ],
+    1: [
+        30, 32, 45, 51, 73, 77, 79, 88, 100, 109, 111, 115, 116,
+        129, 132, 135, 137, 141, 152, 159, 163, 164, 171, 174, 188,
+        192, 193, 194, 195, 196, 199, 200, 203, 207, 209, 210, 213,
+        215, 217, 218, 219, 221, 225, 229, 232, 233, 234, 236, 237,
+        238, 244, 247, 249
+    ],
+    2: [
+        7, 47, 53, 54, 62, 66, 69, 80, 110, 112, 121, 124, 125, 127,
+        136, 137, 154, 155, 157, 161, 171, 177, 178, 181, 184, 189,
+        194, 199, 200, 202, 203, 204, 205, 206, 208, 212, 213, 221,
+        222, 224, 226, 227, 228, 230, 232, 233, 234, 238, 241, 242,
+        245
+    ],
+}
 
 
 def _clusters(seed=0):
@@ -121,3 +152,53 @@ class TestDedupOnRealPromptEmbeddings:
         result = deduplicate(embeddings, threshold=0.85)
         # Each of the 5 near-duplicates should merge with its base.
         assert len(result.kept) <= len(base) + 1
+
+
+class TestExactDuplicatesOnly:
+    """``threshold=1.0`` groups exact and positive-scaled copies: their
+    cosine distance is a few ulps off 0, never exactly 0."""
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_gaussian_rows_stacked_twice(self, scaled):
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(40, 16))
+        copies = base * rng.uniform(0.01, 100.0, size=(40, 1)) if scaled else base.copy()
+        result = deduplicate(np.vstack([base, copies]), threshold=1.0)
+        assert result.kept == list(range(40))
+        assert all(result.representative_of[40 + i] == i for i in range(40))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_prompt_texts_embedded_twice(self, factory, scaled):
+        embedder = EmbeddingModel()
+        rows: dict[bytes, np.ndarray] = {}
+        while len(rows) < 40:
+            row = embedder.embed(factory.make_prompt().text)
+            rows.setdefault(row.tobytes(), row)
+        base = np.array(list(rows.values()))
+        copies = base * np.linspace(0.5, 3.0, 40)[:, None] if scaled else base.copy()
+        result = deduplicate(np.vstack([base, copies]), threshold=1.0)
+        assert result.kept == list(range(40))
+
+    def test_distinct_rows_stay_apart(self):
+        rng = np.random.default_rng(12)
+        matrix = rng.normal(size=(60, 8))
+        assert deduplicate(matrix, threshold=1.0).kept == list(range(60))
+
+
+class TestGoldenDedup:
+    @pytest.mark.parametrize("seed", sorted(_GOLDEN_DROPPED))
+    def test_pipeline_parameters_keep_the_golden_set(self, seed):
+        corpus = PromptFactory(rng=np.random.default_rng(seed)).make_corpus(
+            CorpusConfig(n_prompts=250)
+        )
+        embeddings = EmbeddingModel().embed_batch([p.text for p in corpus])
+        cc = CollectionConfig()
+        result = deduplicate(
+            embeddings,
+            threshold=cc.dedup_threshold,
+            k_neighbors=cc.dedup_neighbors,
+            keep_per_group=cc.keep_per_group,
+            seed=PipelineConfig().seed,
+        )
+        dropped = set(_GOLDEN_DROPPED[seed])
+        assert result.kept == [i for i in range(250) if i not in dropped]

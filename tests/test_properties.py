@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.hnsw import HnswIndex
+from repro.ann.sharded import ShardedHnswIndex
 from repro.embedding import model as embedding_model
 from repro.embedding.hashing import hash_features
 from repro.embedding.model import EmbeddingModel
@@ -216,6 +217,86 @@ class TestAnnProperties:
         hits = index.search(rng.normal(size=4), min(10, n))
         dists = [d for _, d in hits]
         assert dists == sorted(dists)
+
+
+@st.composite
+def _rows_with_copies(draw):
+    """A small matrix holding arbitrary rows, exact copies, positive-
+    scaled copies and zero rows, in a drawn order."""
+    dim = draw(st.integers(min_value=1, max_value=12))
+    n_base = draw(st.integers(min_value=1, max_value=6))
+    value = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+    base = [draw(st.lists(value, min_size=dim, max_size=dim)) for _ in range(n_base)]
+    rows = [np.array(row) for row in base]
+    extras = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["copy", "scaled", "zero"]),
+                st.integers(min_value=0, max_value=n_base - 1),
+                st.floats(min_value=1e-3, max_value=1e3),
+            ),
+            max_size=8,
+        )
+    )
+    for kind, src, scale in extras:
+        if kind == "copy":
+            rows.append(rows[src].copy())
+        elif kind == "scaled":
+            rows.append(rows[src] * scale)
+        else:
+            rows.append(np.zeros(dim))
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order])
+
+
+class TestDistanceKernelProperties:
+    """``HnswIndex._distances_to`` is a function of each pair alone.
+
+    The neighbour heuristic computes ``dist(kept, c)`` where the
+    per-candidate form computed ``dist(c, kept)``, in a different gather;
+    the two pick the same neighbours only if these hold bit for bit.
+    """
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    @given(matrix=_rows_with_copies(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pairwise_value_independent_of_gather_and_side(self, metric, matrix, data):
+        index = HnswIndex(dim=matrix.shape[1], metric=metric, seed=0)
+        index.add_batch(matrix)
+        n = len(index)
+        ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        a = data.draw(st.integers(0, n - 1))
+        vecs, norms = index._vectors, index._norms
+        full = index._distances_to(vecs[a], ids, norms[a])
+        perm = data.draw(st.permutations(range(len(ids))))
+        permuted = index._distances_to(vecs[a], [ids[i] for i in perm], norms[a])
+        assert permuted.tobytes() == full[list(perm)].tobytes()
+        for j, b in enumerate(ids):
+            single = index._distances_to(vecs[a], [b], norms[a])
+            swapped = index._distances_to(vecs[b], [a], norms[b])
+            assert single.tobytes() == full[j : j + 1].tobytes()
+            assert swapped.tobytes() == full[j : j + 1].tobytes()
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    @pytest.mark.parametrize("cls", [HnswIndex, ShardedHnswIndex])
+    def test_strided_query_matches_its_contiguous_copy(self, metric, cls):
+        rng = np.random.default_rng(5)
+        # Two shards of 150 rows: each answers with the exact scan.
+        kwargs = {"n_shards": 2} if cls is ShardedHnswIndex else {}
+        index = cls(dim=48, metric=metric, seed=0, **kwargs)
+        index.add_batch(rng.normal(size=(300, 48)))
+        # Rows of a Fortran-ordered matrix are strided views.
+        strided = np.asfortranarray(rng.normal(size=(12, 48)))
+        contiguous = np.ascontiguousarray(strided)
+        assert not strided[0].flags.c_contiguous
+        for i in range(strided.shape[0]):
+            assert index.search(strided[i], 10) == index.search(contiguous[i], 10)
+        assert index.search_batch(strided, 10) == index.search_batch(contiguous, 10)
+        for got, want in zip(
+            index.search_batch_arrays(strided, 10),
+            index.search_batch_arrays(contiguous, 10),
+        ):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStatsProperties:
