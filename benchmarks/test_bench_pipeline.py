@@ -15,9 +15,10 @@ One gated number:
   industrial pipeline, checkpointing included, must never be slower
   than the per-item loops it replaced.
 
-Both sides share one pre-fitted classifier (fitting costs more than a
-whole collection pass and is identical work for either path, so it would
-only dilute the ratio).  A parity assert runs before any timing: the
+Both sides share one pre-fitted classifier (fitting takes about 0.2 s,
+about half a batched runner pass over this corpus on a shared 2-vCPU VM,
+most of it generating the labelled prompts, and is identical work for
+either path, so it would only dilute the ratio).  A parity assert runs before any timing: the
 scalar reference must curate the exact same prompts into the exact same
 pairs, or the ratio compares different work.
 

@@ -83,14 +83,17 @@ class ProtegiOptimizer(ApeMethod):
                 scored[candidate] = score
                 if len(candidate) >= self.max_directives:
                     continue
-                for aspect, _count in missed.most_common(2):
+                # Most-missed first, ties by name: most_common() would break
+                # ties in first-seen order, which follows set iteration.
+                for aspect in sorted(missed, key=lambda a: (-missed[a], a))[:2]:
                     expansions.add(candidate | {aspect})
             for candidate in expansions:
                 if candidate not in scored:
                     scored[candidate], _ = self._score_and_gradient(
                         candidate, train_prompts
                     )
-            beam = sorted(expansions, key=lambda c: -scored[c])[: self.beam_width]
+            # Ties by sorted aspects, not by the set's hash order.
+            beam = sorted(expansions, key=lambda c: (-scored[c], sorted(c)))[: self.beam_width]
         best = max(beam, key=lambda c: scored[c])
         self._instruction = render_complement(set(best), salt="protegi") if best else ""
         return self._instruction

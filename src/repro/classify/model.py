@@ -32,9 +32,19 @@ class CategoryClassifier:
         return self._fitted
 
     def fit(self, texts: list[str], categories: list[str]) -> "CategoryClassifier":
+        """Fit from per-category gram counts: no per-text feature row is built."""
         if not texts:
             raise EmptyDatasetError("classifier requires training texts")
-        self._nb.fit(self._hasher.transform_batch(texts), categories)
+        if len(texts) != len(categories):
+            raise ValueError(
+                f"texts ({len(texts)}) and categories ({len(categories)}) disagree"
+            )
+        classes, rows = self._nb.encode(categories)
+        self._nb.fit_counts(
+            classes,
+            self._hasher.transform_into(texts, rows, len(classes)),
+            np.bincount(rows, minlength=len(classes)),
+        )
         self._fitted = True
         return self
 

@@ -28,6 +28,14 @@ class MultinomialNaiveBayes:
     def classes(self) -> list:
         return list(self._classes)
 
+    @staticmethod
+    def encode(labels: list) -> tuple[list, np.ndarray]:
+        """The classes ``labels`` name, sorted by ``str``, and each label's
+        index among them."""
+        classes = sorted(set(labels), key=str)
+        class_index = {c: i for i, c in enumerate(classes)}
+        return classes, np.array([class_index[label] for label in labels], dtype=np.intp)
+
     def fit(self, features: np.ndarray, labels: list) -> "MultinomialNaiveBayes":
         matrix = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if matrix.shape[0] == 0:
@@ -38,17 +46,30 @@ class MultinomialNaiveBayes:
             )
         if (matrix < 0).any():
             raise ValueError("multinomial NB requires non-negative counts")
-        self._classes = sorted(set(labels), key=str)
-        class_index = {c: i for i, c in enumerate(self._classes)}
-        n_classes = len(self._classes)
-        n_features = matrix.shape[1]
-        counts = np.zeros((n_classes, n_features), dtype=np.float64)
-        class_counts = np.zeros(n_classes, dtype=np.float64)
-        for row, label in zip(matrix, labels, strict=True):
-            idx = class_index[label]
-            counts[idx] += row
-            class_counts[idx] += 1
-        self._log_prior = np.log(class_counts / class_counts.sum())
+        classes, rows = self.encode(labels)
+        counts = np.zeros((len(classes), matrix.shape[1]), dtype=np.float64)
+        # add.at adds the rows in order, as a per-row loop would.
+        np.add.at(counts, rows, matrix)
+        return self.fit_counts(classes, counts, np.bincount(rows, minlength=len(classes)))
+
+    def fit_counts(
+        self, classes: list, counts: np.ndarray, class_sizes: np.ndarray
+    ) -> "MultinomialNaiveBayes":
+        """Fit from per-class sums: row ``c`` of ``counts`` sums the feature
+        rows of the ``class_sizes[c]`` examples of ``classes[c]``.
+
+        :meth:`fit` reduces a dense matrix to these sums, and a caller that
+        can count features per class directly never builds one.
+        """
+        counts = np.asarray(counts, dtype=np.float64)
+        class_sizes = np.asarray(class_sizes, dtype=np.float64)
+        if counts.ndim != 2 or not len(classes) == len(counts) == len(class_sizes):
+            raise ValueError(
+                f"{len(classes)} classes, {len(counts)} count rows and "
+                f"{len(class_sizes)} class sizes disagree"
+            )
+        self._classes = list(classes)
+        self._log_prior = np.log(class_sizes / class_sizes.sum())
         smoothed = counts + self.alpha
         self._log_likelihood = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
         return self

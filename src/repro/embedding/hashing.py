@@ -8,13 +8,18 @@ for cosine-similarity dedup.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Hashable, Iterable
 
 import numpy as np
 
 from repro.utils.rng import stable_hash
 
-__all__ = ["bucket_sign", "hash_features"]
+__all__ = ["bucket_sign", "hash_features", "table_codes"]
+
+#: Most grams one gram table (see :func:`table_codes`) holds.  An entry
+#: costs about 120 B, so a full table is about 4 MB; a 10k-prompt
+#: generated corpus has under 8k distinct grams.
+_TABLE_LIMIT = 1 << 15
 
 
 def bucket_sign(feature: str, dim: int) -> tuple[int, float]:
@@ -56,3 +61,30 @@ def hash_features(
             bucket, sign = bucket_sign(feat, dim)
             vec[bucket] += sign * w
     return vec
+
+
+def table_codes(
+    table: dict, grams: list[Hashable], code: Callable[[Hashable], int]
+) -> list[int]:
+    """The codes of ``grams``, looked up in ``table`` and memoised there.
+
+    A gram the table lacks costs one ``code(gram)`` call (a blake2b digest
+    in both callers) and is stored while the table holds fewer than
+    ``_TABLE_LIMIT`` grams; past that it is recomputed on every
+    occurrence.  A gram's code must depend on the gram alone, so a table
+    changes no result, only how often a code is computed.  Threads need no
+    lock: two that miss one gram store the same int, and at worst the
+    table passes its limit by a few entries.
+    """
+    codes = list(map(table.get, grams))
+    if None in codes:
+        for i, found in enumerate(codes):
+            if found is None:
+                gram = grams[i]
+                found = table.get(gram)
+                if found is None:
+                    found = code(gram)
+                    if len(table) < _TABLE_LIMIT:
+                        table[gram] = found
+                codes[i] = found
+    return codes

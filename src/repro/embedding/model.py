@@ -15,15 +15,10 @@ from numbers import Integral
 
 import numpy as np
 
-from repro.embedding.hashing import bucket_sign, hash_features
+from repro.embedding.hashing import bucket_sign, hash_features, table_codes
 from repro.utils import textproc
 
 __all__ = ["EmbeddingModel"]
-
-#: Most n-grams one model's gram table holds.  An entry costs about 120 B,
-#: so a full table is about 4 MB; a 10k-prompt generated corpus has under
-#: 8k distinct grams.
-_TABLE_LIMIT = 1 << 15
 
 
 class EmbeddingModel:
@@ -63,7 +58,7 @@ class EmbeddingModel:
         self.char_orders = tuple(int(n) for n in char_orders)
         self.word_orders = tuple(int(n) for n in word_orders)
         self.word_weight = float(word_weight)
-        # n-gram -> signed bucket under ``dim`` (see _codes).  Char grams
+        # n-gram -> signed bucket under ``dim`` (see _code).  Char grams
         # are keyed by their string and word grams by their token tuple, so
         # the char 3-gram "the" and the word "the" never share an entry;
         # a key's order is its length.  It lives as long as the model:
@@ -142,7 +137,7 @@ class EmbeddingModel:
                 grams += zip(*(toks[i:] for i in range(n)))
             # One text's grams at a time, so a large batch never holds
             # every gram string at once.
-            codes += self._codes(grams)
+            codes += table_codes(self._table, grams, self._code)
             counts += (n_char, len(grams) - n_char)
         signed = np.array(codes, dtype=np.intp)
         negative = signed < 0
@@ -165,31 +160,12 @@ class EmbeddingModel:
                 matrix[i] /= norm
         return matrix
 
-    def _codes(self, grams: list[str | tuple[str, ...]]) -> list[int]:
-        """Signed buckets of ``grams`` from the gram table, hashing misses.
-
-        A code is ``bucket`` for a positive sign and ``~bucket`` for a
-        negative one.  A missed gram is hashed on its ``embed()`` feature
-        string and stored while the table holds fewer than
-        ``_TABLE_LIMIT`` grams; past that it is hashed on every occurrence.
-        Threads need no lock: two that miss one gram store the same int,
-        and at worst the table passes its limit by a few entries.
-        """
-        table = self._table
-        codes = list(map(table.get, grams))
-        if None in codes:
-            for i, code in enumerate(codes):
-                if code is None:
-                    gram = grams[i]
-                    code = table.get(gram)
-                    if code is None:
-                        if isinstance(gram, str):
-                            feature = f"c{len(gram)}|{gram}"
-                        else:
-                            feature = f"w{len(gram)}|{' '.join(gram)}"
-                        bucket, sign = bucket_sign(feature, self.dim)
-                        code = bucket if sign > 0 else ~bucket
-                        if len(table) < _TABLE_LIMIT:
-                            table[gram] = code
-                    codes[i] = code
-        return codes
+    def _code(self, gram: str | tuple[str, ...]) -> int:
+        """The signed bucket of one gram, hashed on its ``embed()`` feature
+        string: ``bucket`` for a positive sign, ``~bucket`` for a negative."""
+        if isinstance(gram, str):
+            feature = f"c{len(gram)}|{gram}"
+        else:
+            feature = f"w{len(gram)}|{' '.join(gram)}"
+        bucket, sign = bucket_sign(feature, self.dim)
+        return bucket if sign > 0 else ~bucket

@@ -124,8 +124,10 @@ class TagDiversitySelection(SelectionStrategy):
         k = self._validate(items, k)
         if k == 0:
             return []
+        # Sorted, so each rarity sum below adds in the same order in every
+        # process (a set of strings iterates in string-hash order).
         tags = [
-            frozenset(find_cues(item.prompt.text)) | {f"cat:{item.predicted_category}"}
+            sorted(find_cues(item.prompt.text).keys() | {f"cat:{item.predicted_category}"})
             for item in items
         ]
         counts: Counter[str] = Counter()

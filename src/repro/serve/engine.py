@@ -65,6 +65,7 @@ responses, traces, events, and metrics.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -73,10 +74,11 @@ from repro.errors import ConfigError, UnknownModelError
 from repro.obs import MetricsRegistry, Observability
 from repro.serve.gateway import BatchPlan, PasGateway
 from repro.serve.router import Router
-from repro.serve.scheduler import MicroBatcher, _percentile
+from repro.serve.scheduler import MicroBatcher
 from repro.serve.traffic import TimedRequest
 from repro.serve.types import ServeRequest, ServeResponse
 from repro.utils.serialize import register
+from repro.utils.stats import nearest_rank
 
 __all__ = [
     "SHED_POLICIES",
@@ -226,19 +228,19 @@ class EngineStats:
 
     @property
     def latency_p50(self) -> float:
-        return _percentile(self.latency_ticks, 50.0)
+        return nearest_rank(self.latency_ticks, 50.0)
 
     @property
     def latency_p99(self) -> float:
-        return _percentile(self.latency_ticks, 99.0)
+        return nearest_rank(self.latency_ticks, 99.0)
 
     @property
     def queue_wait_p50(self) -> float:
-        return _percentile(self.queue_wait_ticks, 50.0)
+        return nearest_rank(self.queue_wait_ticks, 50.0)
 
     @property
     def queue_wait_p99(self) -> float:
-        return _percentile(self.queue_wait_ticks, 99.0)
+        return nearest_rank(self.queue_wait_ticks, 99.0)
 
     @property
     def occupancy(self) -> dict[str, float]:
@@ -462,6 +464,9 @@ class ServingEngine:
         # a cancelled completion can never advance the clock or inflate
         # the makespan.
         cancelled: set[int] = set()
+        # stats.latency_ticks kept sorted, one insort per finish, so the
+        # hedge deadline reads its percentile without sorting every start.
+        ordered_latency: list[int] = []
 
         def prune() -> None:
             while heap and heap[0][2] in cancelled:
@@ -474,9 +479,11 @@ class ServingEngine:
                 return None
             if hedge_cfg.after_ticks is not None:
                 return hedge_cfg.after_ticks
-            if len(stats.latency_ticks) < hedge_cfg.min_samples:
+            if len(ordered_latency) < hedge_cfg.min_samples:
                 return None
-            return max(1, int(_percentile(stats.latency_ticks, hedge_cfg.percentile)))
+            return max(
+                1, int(nearest_rank(ordered_latency, hedge_cfg.percentile, ordered=True))
+            )
 
         def record(index: int, response: ServeResponse) -> None:
             if cfg.keep_responses:
@@ -539,6 +546,7 @@ class ServingEngine:
             self._m_inflight.set(inflight)
             latency = tick - timed.tick
             stats.latency_ticks.append(latency)
+            insort(ordered_latency, latency)
             self._m_latency.observe(latency)
             record(index, response)
 

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from math import ceil
 
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.serve.types import ServeRequest, ServeResponse
+from repro.utils.stats import nearest_rank
 
 __all__ = ["BatchRecord", "MicroBatcher", "SchedulerStats"]
 
@@ -62,15 +62,6 @@ _WAIT_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 #: (the coarse 4-bucket one predates the continuous batcher and is kept
 #: for compatibility).
 _SCHED_OCCUPANCY_BUCKETS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
-
-
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -146,12 +137,12 @@ class SchedulerStats:
     @property
     def occupancy_p50(self) -> float:
         """Median per-batch occupancy (size / max_batch) across drains."""
-        return _percentile(self._occupancies(), 50.0)
+        return nearest_rank(self._occupancies(), 50.0)
 
     @property
     def occupancy_p99(self) -> float:
         """99th-percentile per-batch occupancy across drains."""
-        return _percentile(self._occupancies(), 99.0)
+        return nearest_rank(self._occupancies(), 99.0)
 
     def as_dict(self) -> dict:
         """JSON-safe dict with a stable key order."""

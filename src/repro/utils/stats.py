@@ -8,11 +8,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import ceil
 
 import numpy as np
 
 __all__ = [
     "mean",
+    "nearest_rank",
     "win_rate",
     "bootstrap_ci",
     "length_controlled_win_rate",
@@ -28,6 +30,22 @@ def mean(values: Sequence[float]) -> float:
     if not vals:
         return 0.0
     return float(np.mean(vals))
+
+
+def nearest_rank(values: Sequence[float], q: float, *, ordered: bool = False) -> float:
+    """Nearest-rank ``q``-th percentile (no interpolation); 0.0 for no values.
+
+    ``ordered=True`` reads ``values`` as already ascending and skips the
+    sort, for callers that keep a sorted copy up to date incrementally.
+
+    >>> nearest_rank([5, 1, 3, 2, 4], 50.0)
+    3.0
+    """
+    if not values:
+        return 0.0
+    if not ordered:
+        values = sorted(values)
+    return float(values[max(1, ceil(q / 100.0 * len(values))) - 1])
 
 
 def win_rate(outcomes: Sequence[float]) -> float:

@@ -90,8 +90,11 @@ def assess_response(prompt: SyntheticPrompt, response_text: str) -> QualityAsses
     spurious = evidenced - needs
 
     if needs:
-        weight_total = sum(ASPECTS[a].weight for a in needs)
-        weight_covered = sum(ASPECTS[a].weight for a in covered)
+        # Summed in registry order: iterating the sets themselves would
+        # add the weights in a per-process string-hash order, and float
+        # addition is not associative.
+        weight_total = sum(a.weight for name, a in ASPECTS.items() if name in needs)
+        weight_covered = sum(a.weight for name, a in ASPECTS.items() if name in covered)
         coverage = weight_covered / weight_total
     else:
         coverage = 1.0

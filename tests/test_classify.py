@@ -1,5 +1,7 @@
 """Tests for feature hashing + Naive Bayes + the category classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.classify.model import CategoryClassifier
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.errors import EmptyDatasetError, NotFittedError
 from repro.world.prompts import PromptFactory
+from tests.classify_oracle import reference_fit, reference_nb_fit, reference_transform_batch
 
 
 class TestFeatureHasher:
@@ -107,3 +110,67 @@ class TestCategoryClassifier:
         assert not clf.is_fitted
         clf.fit(["some text here"], ["coding"])
         assert clf.is_fitted
+
+
+@pytest.fixture(scope="module", params=[1234, 17, 20, 11])
+def fitted_pair(request):
+    """A classifier fitted by ``fit_synthetic`` and the dense reference
+    fit of the same corpus: the default seed, the curate workload's and
+    pipeline bench's 17, ``build_default_dataset(seed=3)``'s 20 and this
+    suite's 11."""
+    seed = request.param
+    factory = PromptFactory(rng=np.random.default_rng(seed))
+    prompts = [factory.make_prompt() for _ in range(1500)]
+    reference = reference_fit([p.text for p in prompts], [p.category for p in prompts])
+    return CategoryClassifier().fit_synthetic(seed=seed), reference
+
+
+class TestDenseOracle:
+    """The sparse fit against the dense featuriser and fit it replaced
+    (``tests/classify_oracle.py``), byte for byte."""
+
+    def test_fit_synthetic_matches_dense_fit(self, fitted_pair):
+        clf, (classes, log_prior, log_likelihood) = fitted_pair
+        assert clf._nb.classes == classes
+        assert clf._nb._log_prior.tobytes() == log_prior.tobytes()
+        assert clf._nb._log_likelihood.tobytes() == log_likelihood.tobytes()
+
+    def test_predictions_match_dense_scores(self, fitted_pair):
+        clf, (classes, log_prior, log_likelihood) = fitted_pair
+        factory = PromptFactory(rng=np.random.default_rng(500))
+        texts = [factory.make_prompt().text for _ in range(500)]
+        dense = reference_transform_batch(texts, 4096)
+        scores = dense @ log_likelihood.T + log_prior
+        features = clf._hasher.transform_batch(texts)
+        assert features.tobytes() == dense.tobytes()
+        assert clf._nb.log_posterior(features).tobytes() == scores.tobytes()
+        assert clf.predict_batch(texts) == [classes[i] for i in np.argmax(scores, axis=1)]
+        for text, row in zip(texts[:50], dense):
+            assert clf._hasher.transform(text).tobytes() == row.tobytes()
+
+    def test_dense_nb_fit_matches_reference_on_real_valued_rows(self):
+        rng = np.random.default_rng(3)
+        matrix = rng.random((40, 9)) * 3.0
+        labels = [int(i) for i in rng.integers(0, 4, size=40)]
+        nb = MultinomialNaiveBayes(alpha=0.3).fit(matrix, labels)
+        classes, log_prior, log_likelihood = reference_nb_fit(matrix, labels, 0.3)
+        assert nb.classes == classes
+        assert nb._log_prior.tobytes() == log_prior.tobytes()
+        assert nb._log_likelihood.tobytes() == log_likelihood.tobytes()
+
+    def test_fit_memory_stays_sparse(self):
+        # The dense fit held two 1,500 x 4,096 float64 matrices (about
+        # 95 MiB at peak); the sparse one needs a few MiB.
+        tracemalloc.start()
+        try:
+            CategoryClassifier().fit_synthetic(n_train=1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_mismatched_fit_rejected(self):
+        with pytest.raises(ValueError):
+            CategoryClassifier().fit(["one text", "two texts"], ["coding"])
+        with pytest.raises(ValueError):
+            MultinomialNaiveBayes().fit_counts(["a", "b"], np.ones((1, 3)), np.ones(2))

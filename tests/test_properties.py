@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import bisect
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.hnsw import HnswIndex
 from repro.ann.sharded import ShardedHnswIndex
-from repro.embedding import model as embedding_model
+from repro.classify.model import CategoryClassifier
+from repro.classify.naive_bayes import MultinomialNaiveBayes
+from repro.embedding import hashing as embedding_hashing
 from repro.embedding.hashing import hash_features
 from repro.embedding.model import EmbeddingModel
-from repro.errors import ReproError
+from repro.errors import EmptyDatasetError, ReproError
 from repro.llm import api as llm_api
 from repro.llm.api import ChatClient
 from repro.llm.engine import SimulatedLLM
@@ -21,7 +25,7 @@ from repro.llm.types import Message
 from repro.resilience import FaultPlan, OutageWindow, RetryPolicy
 from repro.utils import textproc
 from repro.utils.rng import stable_hash
-from repro.utils.stats import length_controlled_win_rate, win_rate
+from repro.utils.stats import length_controlled_win_rate, nearest_rank, win_rate
 from repro.utils.unionfind import UnionFind
 from repro.world.aspects import (
     ASPECTS,
@@ -32,6 +36,7 @@ from repro.world.aspects import (
 )
 from repro.world.quality import FLAW_MARKERS
 from repro.core.golden import MAX_DIRECTIVES, render_complement
+from tests.classify_oracle import reference_fit, reference_transform_batch
 
 _text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=200)
 
@@ -146,7 +151,7 @@ class TestEmbeddingProperties:
         assert then_b == b_then
 
     def test_gram_table_stops_at_its_limit(self, monkeypatch):
-        monkeypatch.setattr(embedding_model, "_TABLE_LIMIT", 40)
+        monkeypatch.setattr(embedding_hashing, "_TABLE_LIMIT", 40)
         model = EmbeddingModel(dim=8, word_weight=0.3)
         texts = [
             "how do i implement a binary search tree in python",
@@ -158,6 +163,77 @@ class TestEmbeddingProperties:
             for row, text in zip(rows, texts):
                 assert row.tobytes() == model.embed(text).tobytes()
             assert len(model._table) == 40
+
+
+_CATEGORIES = ("coding", "math", "writing", "qa", "chitchat")
+_classifier_text = st.one_of(
+    _text,
+    _short_text,
+    st.sampled_from(("?!...", "-- ,;: --", "don't won't it's", "naïve café résumé")),
+    # Few distinct words, so texts repeat words and bigrams.
+    st.lists(st.sampled_from(("the", "cat", "sat", "on", "a", "mat")), max_size=12).map(
+        " ".join
+    ),
+)
+
+
+@st.composite
+def _labelled_texts(draw):
+    """Texts, and labels drawn from 1 to 5 classes."""
+    n_classes = draw(st.integers(1, 5))
+    texts = draw(st.lists(_classifier_text, min_size=1, max_size=12))
+    labels = draw(
+        st.lists(
+            st.sampled_from(_CATEGORIES[:n_classes]),
+            min_size=len(texts),
+            max_size=len(texts),
+        )
+    )
+    return texts, labels
+
+
+class TestClassifierProperties:
+    """The sparse classifier fit against the dense oracle in
+    ``tests/classify_oracle.py``: equal as bytes at every bucket count,
+    under heavy collisions (1 and 7 buckets) and with the gram table
+    capped at 0 and 2 grams as well as at its default."""
+
+    @pytest.mark.parametrize("cap", [0, 2, None])
+    @given(data=_labelled_texts(), n_features=st.sampled_from((1, 7, 4096)))
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_fit_equals_dense_reference(self, cap, data, n_features):
+        texts, labels = data
+        limit = embedding_hashing._TABLE_LIMIT if cap is None else cap
+        with mock.patch.object(embedding_hashing, "_TABLE_LIMIT", limit):
+            clf = CategoryClassifier(n_features=n_features, alpha=0.3)
+            dense = reference_transform_batch(texts, n_features)
+            classes, log_prior, log_likelihood = reference_fit(
+                texts, labels, n_features, alpha=0.3
+            )
+            for _ in range(2):  # a cold gram table, then a warm one
+                clf.fit(texts, labels)
+                assert clf._nb.classes == classes
+                assert clf._nb._log_prior.tobytes() == log_prior.tobytes()
+                assert clf._nb._log_likelihood.tobytes() == log_likelihood.tobytes()
+                assert clf._hasher.transform_batch(texts).tobytes() == dense.tobytes()
+            assert len(clf._hasher._table) <= limit
+        nb = MultinomialNaiveBayes(alpha=0.3).fit(dense, labels)
+        assert nb._log_prior.tobytes() == log_prior.tobytes()
+        assert nb._log_likelihood.tobytes() == log_likelihood.tobytes()
+
+    @given(
+        texts=st.lists(_classifier_text, max_size=4),
+        labels=st.lists(st.sampled_from(_CATEGORIES), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_empty_or_mismatched_fit_rejected(self, texts, labels):
+        if texts and len(texts) == len(labels):
+            labels = labels[:-1]
+        error = ValueError if texts else EmptyDatasetError
+        with pytest.raises(error):
+            CategoryClassifier(n_features=7).fit(texts, labels)
+        with pytest.raises(error):
+            MultinomialNaiveBayes().fit(reference_transform_batch(texts, 7), labels)
 
 
 class TestUnionFindProperties:
@@ -313,6 +389,21 @@ class TestStatsProperties:
         rng = np.random.default_rng(len(outcomes))
         deltas = list(rng.normal(0, 1, len(outcomes)))
         assert 0.0 <= length_controlled_win_rate(outcomes, deltas) <= 100.0
+
+    @given(st.lists(st.integers(0, 60), max_size=300))
+    @settings(max_examples=80)
+    def test_incremental_nearest_rank_equals_sorting_each_time(self, stream):
+        # The serving engine's hedge deadline keeps latencies sorted with
+        # one insort per finish instead of sorting them on every start.
+        ordered: list[int] = []
+        for i, value in enumerate(stream, start=1):
+            bisect.insort(ordered, value)
+            prefix = sorted(stream[:i])
+            for q in (50.0, 95.0, 99.0, 100.0):
+                expected = float(prefix[max(1, math.ceil(q / 100.0 * i)) - 1])
+                assert nearest_rank(ordered, q, ordered=True) == expected
+                assert nearest_rank(stream[:i], q) == expected
+        assert nearest_rank([], 99.0) == 0.0
 
 
 # The per-phrase matchers the compiled aspect tables replaced: each call
