@@ -495,10 +495,19 @@ def test_scheduler_throughput(trained_pas, cold_traffic):
         gateway = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=1024))
         return [gateway.ask(r) for r in requests]
 
-    def serve_scheduled():
+    def pull_loop(batcher):
+        # One arrival per tick; every ready batch goes to ask_batch as it
+        # is pulled, and the tail is forced out at the end.
         gateway = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=1024))
-        batcher = MicroBatcher(gateway.ask_batch, max_batch=32, max_wait=8)
-        return batcher.run_arrivals(enumerate(requests, start=1))
+        responses = []
+        for tick, request in enumerate(requests, start=1):
+            batcher.submit_at(tick, request)
+            responses.extend(gateway.ask_batch(batcher.take(tick)))
+        responses.extend(gateway.ask_batch(batcher.take(tick, force=True)))
+        return responses
+
+    def serve_scheduled():
+        return pull_loop(MicroBatcher(max_batch=32, max_wait=8))
 
     assert serve_scheduled() == serve_scalar()  # partition parity, end to end
 
@@ -507,11 +516,8 @@ def test_scheduler_throughput(trained_pas, cold_traffic):
         labels=("gateway ask loop (cold)", "micro-batched (cold)"),
         n_items=len(requests), repeats=3,
     )
-    probe = MicroBatcher(
-        PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=1024)).ask_batch,
-        max_batch=32, max_wait=8,
-    )
-    probe.run_arrivals(enumerate(requests, start=1))
+    probe = MicroBatcher(max_batch=32, max_wait=8)
+    pull_loop(probe)
     RESULTS["scheduler"] = {
         "max_batch": probe.max_batch,
         "max_wait": probe.max_wait,

@@ -6,8 +6,10 @@ batched is bit-identical to the scalar loop it accelerates:
 1. ``ShardedHnswIndex`` partitions an index round-robin over K HNSW
    shards, builds/searches them on a thread pool, and merges results in a
    declared total order.
-2. ``MicroBatcher`` queues live requests on a logical clock and drains
-   them into ``PasGateway.ask_batch`` on size/wait triggers.
+2. ``ServingEngine`` queues a timed trace in its ``MicroBatcher``, pulls
+   batches on size/wait triggers and plans each with one
+   ``PasGateway.plan_batch``; at ``max_inflight=1`` it serves exactly
+   what the gateway's ``ask`` loop would.
 3. The gateway's two cache tiers (complement LRU over an embedding memo)
    make repeat traffic cheap even when the complement cache thrashes.
 
@@ -23,10 +25,12 @@ from repro.ann.hnsw import HnswIndex
 from repro.ann.sharded import ShardedHnswIndex
 from repro.embedding.model import EmbeddingModel
 import json
+from collections import Counter
 
 from repro.obs import Observability
+from repro.serve.engine import EngineConfig, ServingEngine
 from repro.serve.gateway import GatewayConfig, PasGateway, derive_stage_timings
-from repro.serve.scheduler import MicroBatcher
+from repro.serve.traffic import TimedRequest
 from repro.serve.types import ServeRequest
 from repro.world.prompts import PromptFactory
 
@@ -59,22 +63,31 @@ def sharded_index_demo() -> None:
     print(f"  parallel == serial search: {hits_shard == serial}\n")
 
 
-def micro_batching_demo(gateway: PasGateway, traffic: list[str]) -> None:
+def micro_batching_demo(pas: PasModel, traffic: list[str]) -> None:
     print("=== 2. deterministic micro-batching ===")
-    batcher = MicroBatcher(gateway.ask_batch, max_batch=8, max_wait=4)
-    responses = batcher.run_arrivals(
-        (i, ServeRequest(prompt=p, model="gpt-4-0613"))
-        for i, p in enumerate(traffic, start=1)
+    config = GatewayConfig(cache_size=256)
+    trace = [
+        TimedRequest(tick=tick, request=ServeRequest(prompt=p, model="gpt-4-0613"))
+        for tick, p in enumerate(traffic, start=1)
+    ]
+    engine = ServingEngine(
+        PasGateway(pas=pas, config=config),
+        EngineConfig(max_inflight=1, max_batch=8, max_wait=4),
     )
-    stats = batcher.stats
-    print(f"  {stats.submitted} requests -> {stats.batches} batches "
-          f"(mean size {stats.mean_batch_size:.1f}), triggers {stats.triggers}")
-    for record in batcher.records[:3]:
+    result = engine.run(trace)
+    records = result.batch_records
+    triggers = dict(sorted(Counter(record.trigger for record in records).items()))
+    print(f"  {len(trace)} requests -> {len(records)} batches "
+          f"(mean size {len(trace) / len(records):.1f}), triggers {triggers}")
+    for record in records[:3]:
         print(f"    tick {record.tick:3d}: size {record.size}, "
               f"trigger={record.trigger}, occupancy {record.occupancy:.2f}, "
               f"mean wait {record.mean_wait_ticks:.1f} ticks")
-    print(f"  responses in arrival order: {len(responses)}")
-    print(f"  first response as JSON: {json.dumps(responses[0].as_dict())[:100]}...\n")
+    scalar = PasGateway(pas=pas, config=config)
+    same = result.responses == [scalar.ask(timed.request) for timed in trace]
+    print(f"  responses in arrival order: {len(result.responses)}, "
+          f"identical to the ask loop: {same}")
+    print(f"  first response as JSON: {json.dumps(result.responses[0].as_dict())[:100]}...\n")
 
 
 def two_tier_demo(pas: PasModel, traffic: list[str]) -> None:
@@ -112,9 +125,7 @@ def main() -> None:
     rng = np.random.default_rng(12)
     traffic = [pool[i] for i in rng.integers(0, len(pool), size=60)]
 
-    micro_batching_demo(
-        PasGateway(pas=pas, config=GatewayConfig(cache_size=256)), traffic
-    )
+    micro_batching_demo(pas, traffic)
     two_tier_demo(pas, traffic)
 
 

@@ -18,7 +18,6 @@ from repro.llm.persist import load_predictor, save_predictor
 from repro.llm.profiles import CapabilityProfile
 from repro.llm.sft import SftConfig, SftDirectivePredictor
 from repro.pipeline.dataset import PromptPairDataset
-from repro.resilience import FaultPlan, augment_fault
 
 __all__ = ["PasModel", "PAS_PAPER_DATA_SIZE"]
 
@@ -76,12 +75,7 @@ class PasModel:
         self._trained_on = len(pairs)
         return self
 
-    def augment(
-        self,
-        prompt_text: str,
-        embed_cache=None,
-        fault_plan: FaultPlan | None = None,
-    ) -> str:
+    def augment(self, prompt_text: str, embed_cache=None) -> str:
         """Produce the complementary prompt ``p_c = M_p(p)``.
 
         Returns an empty string when the model predicts no directive —
@@ -89,24 +83,13 @@ class PasModel:
         ``embed_cache`` (an :class:`~repro.serve.cache.LruCache`-shaped
         memo of prompt → embedding) skips the hashing pass for prompts
         embedded before; results are bit-identical either way.
-        ``fault_plan`` injects deterministic augmentation failures
-        (:class:`~repro.errors.AugmentationError`, raised before any
-        embedding work) so serving layers can rehearse their degradation
-        path; the check is a pure function of the prompt text.
         """
         if not self.is_trained:
             raise NotFittedError("PasModel must be trained before augment()")
-        if fault_plan is not None and fault_plan.augment_fails(prompt_text):
-            raise augment_fault(prompt_text)
         aspects = self.predictor.predict_aspects(prompt_text, embed_cache=embed_cache)
         return self._render(prompt_text, aspects)
 
-    def augment_batch(
-        self,
-        prompts: Sequence[str],
-        embed_cache=None,
-        fault_plan: FaultPlan | None = None,
-    ) -> list[str]:
+    def augment_batch(self, prompts: Sequence[str], embed_cache=None) -> list[str]:
         """Complementary prompts for a whole batch in one forward pass.
 
         Identical prompts are deduplicated (augmentation is a pure
@@ -115,12 +98,7 @@ class PasModel:
         results map back per request.  Bit-identical to
         ``[self.augment(p) for p in prompts]``; an empty batch is a no-op.
         ``embed_cache`` is forwarded to the predictor (one lookup per
-        unique prompt).  ``fault_plan`` raises
-        :class:`~repro.errors.AugmentationError` for the first failing
-        prompt, exactly as the scalar loop would; callers that want
-        per-prompt degradation should pre-filter with
-        :meth:`FaultPlan.augment_fails <repro.resilience.FaultPlan.augment_fails>`
-        (the gateway's batch planner does).
+        unique prompt).
         """
         if not self.is_trained:
             raise NotFittedError("PasModel must be trained before augment_batch()")
@@ -133,10 +111,6 @@ class PasModel:
             if prompt_text not in seen:
                 seen.add(prompt_text)
                 unique.append(prompt_text)
-        if fault_plan is not None:
-            for prompt_text in prompts:
-                if fault_plan.augment_fails(prompt_text):
-                    raise augment_fault(prompt_text)
         aspect_sets = self.predictor.predict_aspects_batch(
             unique, embed_cache=embed_cache
         )
@@ -155,26 +129,18 @@ class PasModel:
         """
         return self.predictor.embedder.embed_batch(prompts)
 
-    def augment_with_embeddings(
-        self, prompts: Sequence[str], embeddings, fault_plan: FaultPlan | None = None
-    ) -> list[str]:
+    def augment_with_embeddings(self, prompts: Sequence[str], embeddings) -> list[str]:
         """Complements for prompts whose embeddings are already in hand.
 
         ``embeddings[i]`` must be the encoder's vector for
         ``prompts[i]`` (from :meth:`embed_prompts` or an embedding
         cache); each complement is then bit-identical to
         ``self.augment(prompts[i])`` without re-embedding anything.
-        ``fault_plan`` behaves as in :meth:`augment_batch` (raises for the
-        first failing prompt).
         """
         if not self.is_trained:
             raise NotFittedError(
                 "PasModel must be trained before augment_with_embeddings()"
             )
-        if fault_plan is not None:
-            for prompt_text in prompts:
-                if fault_plan.augment_fails(prompt_text):
-                    raise augment_fault(prompt_text)
         return [
             self._render(
                 text, self.predictor.predict_aspects_from_embedding(text, vector)

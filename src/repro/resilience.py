@@ -19,8 +19,8 @@ failures to exist, so this module provides three deterministic pieces:
   fail fast while a backend is misbehaving.
 
 Nothing here sleeps or reads a wall clock: "time" is the repo's logical
-clock (one tick per request), the same convention the micro-batcher and
-rate limiter use, so every transition is replayable in tests.
+clock (the gateway's advances one tick per request), so every transition
+is replayable in tests.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def _uniform(*material: str) -> float:
 def augment_fault(prompt_text: str) -> AugmentationError:
     """The canonical injected-augmentation-failure error for one prompt.
 
-    Both :meth:`~repro.core.pas.PasModel.augment` and the gateway's batch
-    planner raise/record exactly this error, so scalar and batched paths
-    stay bit-identical down to the error string.
+    :meth:`FaultPlan.augment_fault` returns exactly this error, and the
+    gateway raises it when it serves a prompt its planner found faulty, so
+    every serving path degrades with the same error string.
     """
     return AugmentationError(f"injected augmentation fault for prompt {prompt_text!r}")
 
@@ -191,13 +191,25 @@ class FaultPlan:
         return False
 
     def augment_fails(self, prompt_text: str) -> bool:
-        """Does augmenting this prompt fail?  (Per prompt, attempt-free.)"""
+        """Does augmenting this prompt fail?  (Per prompt, attempt-free.)
+
+        A pure predicate: planners may ask it any number of times, so it
+        never notifies.  The fault is recorded by :meth:`augment_fault`
+        when a serve actually raises it.
+        """
         if self.augment_failure_rate <= 0.0:
             return False
-        if self._draw("augment", prompt_text) < self.augment_failure_rate:
-            self._notify("augment", prompt_text, None)
-            return True
-        return False
+        return self._draw("augment", prompt_text) < self.augment_failure_rate
+
+    def augment_fault(self, prompt_text: str) -> AugmentationError:
+        """Record one injected augmentation fault and return its error.
+
+        Called once per serve that raises the fault, so the observer sees
+        one ``augment`` fault per degraded (or strictly failed) request,
+        at that request's tick.
+        """
+        self._notify("augment", prompt_text, None)
+        return augment_fault(prompt_text)
 
     def latency_ticks(self, key: str, attempt: int) -> int:
         """Extra logical ticks this completion attempt costs (0 or a spike)."""

@@ -4,9 +4,13 @@ The paper positions PAS as a *system* that sits in front of any LLM
 (§3.4 / Figure 1a).  This package is that system's serving shape: a gateway
 that owns one trained PAS model and a pool of target-model clients, with
 two cache tiers (complement LRU over an embedding memo — the same prompt
-never pays for augmentation or embedding twice), a deterministic
-micro-batching scheduler in front of the batch path, and request
-telemetry.
+never pays for augmentation or embedding twice) and request telemetry.
+Every request takes one path through it: the gateway plans a batch
+(:meth:`PasGateway.plan_batch <repro.serve.gateway.PasGateway.plan_batch>`;
+a scalar ``ask`` is a batch of one), then serves each request against
+that plan.  The event-loop :class:`~repro.serve.engine.ServingEngine`
+feeds it from a timed trace through a deterministic micro-batcher that it
+drains as completion slots free up.
 
 Failure is a first-class outcome: every request put through the
 non-strict API yields exactly one :class:`ServeResponse` whose ``status``
@@ -54,7 +58,8 @@ wins and records its choice in :attr:`ServeResponse.strategy
 to the unpoliced stack.
 
 Observability is woven through the whole path: pass
-``obs=Observability.enabled()`` to the gateway (and scheduler) to get
+``obs=Observability.enabled()`` to the gateway (routers and engines share
+its bundle) to get
 per-request span traces on the logical clock, a shared metrics registry,
 and a structured event log — all deterministic at a fixed seed, all free
 when left at the :data:`~repro.obs.NULL_OBS` default.

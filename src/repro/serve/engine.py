@@ -11,7 +11,7 @@ the logical clock (priced by the client's seeded
 heap of events:
 
 * **arrivals** — a timed trace (see :mod:`repro.serve.traffic`) feeds a
-  continuous :class:`~repro.serve.scheduler.MicroBatcher`, subject to
+  pull-mode :class:`~repro.serve.scheduler.MicroBatcher`, subject to
   admission control (queue overflow sheds at the door);
 * **completion finishes** — the heap's clockwork; a finish frees an
   in-flight slot, serves the planned request through the gateway, and
@@ -53,13 +53,16 @@ Two fleet policies thread through from the router's installed
   Fractions, see :meth:`~repro.serve.router.Router.wfq_tags`) instead
   of the priority sort, so no tenant starves under bursty load.
 
-**Compatibility mode**: at ``max_inflight=1`` completions serialize, the
-gateway sees the same request order as the synchronous path, and — by the
-partition-invariance the batch-parity suite pins — the responses are
-bit-identical to ``MicroBatcher(gateway.ask_batch, ...).run_arrivals(trace)``
-on the same trace (with admission control off).  Everything is a pure
-function of seed: same trace + same gateway seed → byte-identical
-responses, traces, events, and metrics.
+**Compatibility mode**: at ``max_inflight=1`` a one-model trace's
+completions serialize, the gateway sees the requests in trace order, and
+— by the partition invariance the batch-parity suite pins — the
+responses, gateway stats and cache state are bit-identical to
+``[gateway.ask(t.request) for t in trace]`` (with admission control off
+and default priorities; the engine orders each batch by priority).
+Slots are per model, so with several models (an unroutable one included)
+a later request can finish first.  Everything is a pure function of seed:
+same trace + same gateway seed → byte-identical responses, traces,
+events, and metrics.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ class EngineConfig:
 
     ``max_inflight`` overrides every model's concurrency limit (``None``
     defers to each client's own, i.e. ``GatewayConfig.max_inflight``).
-    ``max_batch`` / ``max_wait`` parameterize the continuous batcher.
+    ``max_batch`` / ``max_wait`` parameterize the micro-batcher.
     ``max_queue`` is the admission bound: arrivals beyond this many
     queued-but-unstarted requests are shed at the door (``None`` admits
     everything).  ``deadline_ticks`` is the default queueing budget for
@@ -278,8 +281,8 @@ class EngineResult:
     ``responses`` is in **trace order** — index *i* answers trace entry
     *i*, shed requests included — or empty when the run discarded
     responses (``keep_responses=False``).  ``batch_records`` are the
-    continuous batcher's drain records (outcome splits all-zero: the
-    engine, not the batcher, owns outcomes).
+    micro-batcher's drain records, one per pull; outcomes are in
+    ``responses`` and ``stats``.
     """
 
     responses: list[ServeResponse]
@@ -369,8 +372,7 @@ class ServingEngine:
     ) -> int:
         """Per-(replica, model) in-flight slots.  Unknown models get one
         slot — their requests fail at routing after a nominal 1-tick
-        latency, which keeps serve order identical to the synchronous
-        path."""
+        latency."""
         key = (replica, model)
         if key not in limits:
             try:
@@ -446,9 +448,7 @@ class ServingEngine:
             return EngineResult(responses=[], stats=stats, batch_records=[])
         stats.first_tick = stats.last_tick = trace[0].tick
 
-        batcher = MicroBatcher(
-            None, max_batch=cfg.max_batch, max_wait=cfg.max_wait, obs=self.obs
-        )
+        batcher = MicroBatcher(max_batch=cfg.max_batch, max_wait=cfg.max_wait, obs=self.obs)
         # Parallel FIFO of (trace index, TimedRequest) for the batcher queue.
         meta: deque[tuple[int, TimedRequest]] = deque()
         # Planned requests waiting for a slot on their assigned replica.

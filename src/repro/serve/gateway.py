@@ -20,10 +20,12 @@ prompt.  The gateway adds what a production front-end needs —
   fast while a backend is down,
 * **observability**: every request runs inside a ``gateway.ask`` span tree
   (augment → cache/embed → complete → retry[n]) stamped on the logical
-  clock, outcome/cache/token counters land in a metrics registry, and
-  faults, breaker transitions, evictions, and failed/degraded serves emit
-  into an event log.  Pass ``obs=Observability.enabled()`` to collect;
-  the default all-null bundle makes instrumentation free.  Cumulative
+  clock, after the ``gateway.plan`` trace of its batch (a batch of one,
+  for :meth:`ask`); outcome/cache/token counters land in a metrics
+  registry, and faults, breaker transitions, evictions, and
+  failed/degraded serves emit into an event log.  Pass
+  ``obs=Observability.enabled()`` to collect; the default all-null
+  bundle makes instrumentation free.  Cumulative
   :class:`GatewayStats` are a *view* over the registry plus the live
   clients/breakers/caches — one source of truth, same public fields.
 
@@ -49,7 +51,7 @@ from repro.llm.api import ChatClient, LatencyModel
 from repro.llm.engine import SimulatedLLM
 from repro.llm.types import build_messages
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
-from repro.resilience import CircuitBreaker, FaultPlan, RetryPolicy, augment_fault
+from repro.resilience import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.serve.cache import LruCache
 from repro.serve.types import ServeRequest, ServeResponse
 from repro.utils.serialize import register
@@ -170,15 +172,17 @@ _REMOVED_KWARGS = ("cache_size", "embed_cache_size", "failure_rate", "max_retrie
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """The augmentation plan for one drained batch of requests.
+    """The augmentation plan for a batch of requests.
 
     Produced by :meth:`PasGateway.plan_batch`: ``precomputed`` maps each
     unique augmentable prompt to its ``(complement, embedding)`` (the
     embedding is ``None`` when the complement was held from the LRU
     peek), ``degraded`` holds the prompts the fault plan will degrade.
+    Every augmentable prompt of the batch is in exactly one of the two.
     Feed it back through :meth:`PasGateway.serve_planned` — immediately
-    (what :meth:`PasGateway.ask_batch` does) or spread over later ticks
-    (what the serving engine does while completions overlap).
+    (what :meth:`PasGateway.ask` does with a one-request plan and
+    :meth:`PasGateway.ask_batch` with a whole batch) or spread over later
+    ticks (what the serving engine does while completions overlap).
     """
 
     precomputed: Mapping[str, tuple[str, np.ndarray | None]]
@@ -357,9 +361,9 @@ def derive_stage_timings(tracer) -> dict[str, float]:
     This is the span-based replacement for the old flat stage clock.  The
     mapping from span names to the legacy :data:`STAGES` buckets:
 
-    * ``augment`` — the augment span's *exclusive* time (the PAS forward
-      pass, embedding included when it happens inside ``pas.augment``)
-      plus any explicit ``embed`` child spans;
+    * ``augment`` — the augment spans' *exclusive* time (the planner's
+      PAS forward pass, and each serve's complement step) plus any
+      explicit ``embed`` child spans;
     * ``cache`` — all ``cache`` spans, inclusive (both tiers, scalar gets
       and batch-planning peeks);
     * ``completion`` — all ``complete`` spans, inclusive (retries and
@@ -380,9 +384,6 @@ def derive_stage_timings(tracer) -> dict[str, float]:
         "completion": inc.get("complete", 0.0),
         "stats": exc.get("gateway.ask", 0.0) + exc.get("gateway.plan", 0.0),
     }
-
-
-_EMPTY: frozenset[str] = frozenset()
 
 
 class PasGateway:
@@ -601,43 +602,34 @@ class PasGateway:
             self._breakers[model] = breaker
         return self._breakers[model]
 
-    def _complement(
-        self,
-        prompt: str,
-        precomputed: Mapping[str, tuple[str, np.ndarray | None]] | None,
-        degraded: frozenset[str] | set[str] = _EMPTY,
-    ) -> tuple[str, bool]:
+    def _complement(self, prompt: str, plan: BatchPlan) -> tuple[str, bool]:
+        """The complement for ``prompt``: a cache hit, else the plan's.
+
+        On a miss the tiers are touched in the order an augment through
+        the embedding memo touches them: one embedding-tier get and, on a
+        miss, a put of the same vector (held from planning, or recomputed
+        when the complement was held from the LRU peek); then the
+        complement put.  A prompt the planner found faulty raises its
+        injected fault here instead, at serve time.
+        """
         tracer = self.obs.tracer
         with tracer.span("cache", tier="complement") as cache_span:
             cached = self._complement_cache.get(prompt)
             cache_span.set(hit=cached is not None)
         if cached is not None:
             return cached, True
-        if prompt in degraded:
-            # Replay of a fault the batch planner already detected; the
-            # scalar path raises the identical error out of augment().
-            raise augment_fault(prompt)
-        if precomputed is not None and prompt in precomputed:
-            complement, embedding = precomputed[prompt]
-            if self._embed_cache is not None:
-                # Replay the embedding-tier touches the scalar augment()
-                # would make: one get, and on a miss a put of the same
-                # vector (held from planning, or recomputed for prompts
-                # whose complement was held from the LRU peek).
-                with tracer.span("cache", tier="embed") as embed_span:
-                    hit = self._embed_cache.get(prompt) is not None
-                    embed_span.set(hit=hit)
-                if not hit:
-                    if embedding is None:
-                        with tracer.span("embed"):
-                            embedding = self.pas.embed_prompts([prompt])[0]
-                    self._embed_cache.put(prompt, embedding)
-        else:
-            complement = self.pas.augment(
-                prompt,
-                embed_cache=self._embed_cache,
-                fault_plan=self.config.fault_plan,
-            )
+        if prompt in plan.degraded:
+            raise self.config.fault_plan.augment_fault(prompt)
+        complement, embedding = plan.precomputed[prompt]
+        if self._embed_cache is not None:
+            with tracer.span("cache", tier="embed") as embed_span:
+                hit = self._embed_cache.get(prompt) is not None
+                embed_span.set(hit=hit)
+            if not hit:
+                if embedding is None:
+                    with tracer.span("embed"):
+                        embedding = self.pas.embed_prompts([prompt])[0]
+                self._embed_cache.put(prompt, embedding)
         self._complement_cache.put(prompt, complement)
         return complement, False
 
@@ -663,8 +655,13 @@ class PasGateway:
 
         An unknown model name raises :class:`~repro.errors.UnknownModelError`
         in strict mode and yields a ``failed`` response otherwise.
+
+        This is :meth:`serve_planned` over a one-request
+        :meth:`plan_batch`, the same path :meth:`ask_batch` and the
+        serving engine take.  With tracing on, each ask records its
+        ``gateway.plan`` trace, then its ``gateway.ask`` trace.
         """
-        return self._serve(request, None, strict=self._strictness(strict))
+        return self.serve_planned(request, self.plan_batch([request]), strict=strict)
 
     def _strictness(self, strict: bool | None) -> bool:
         return self.config.strict if strict is None else strict
@@ -708,14 +705,7 @@ class PasGateway:
             attempts=attempts,
         )
 
-    def _serve(
-        self,
-        request: ServeRequest,
-        precomputed: Mapping[str, tuple[str, np.ndarray | None]] | None,
-        *,
-        strict: bool,
-        degraded: frozenset[str] | set[str] = _EMPTY,
-    ) -> ServeResponse:
+    def _serve(self, request: ServeRequest, plan: BatchPlan, *, strict: bool) -> ServeResponse:
         self._clock += 1
         tracer = self.obs.tracer
         with tracer.span("gateway.ask", model=request.model) as root:
@@ -744,18 +734,13 @@ class PasGateway:
             if request.augment:
                 try:
                     with tracer.span("augment") as augment_span:
-                        complement, was_cached = self._complement(
-                            request.prompt, precomputed, degraded
-                        )
+                        complement, was_cached = self._complement(request.prompt, plan)
                         augment_span.set(cached=was_cached)
                 except AugmentationError as error:
                     if strict:
-                        self._m_requests.inc(model=request.model, status="failed")
-                        root.status = "failed"
-                        root.set(
-                            stage="augment", error=f"{type(error).__name__}: {error}"
+                        return self._fail(
+                            root, request, "", False, error, strict, stage="augment"
                         )
-                        raise
                     # The plug-and-play fallback: the raw prompt is always a
                     # valid input, so serve it unaugmented.
                     complement, was_cached = "", False
@@ -857,29 +842,22 @@ class PasGateway:
     ) -> list[ServeResponse]:
         """Serve many requests, augmenting all cache misses in one pass.
 
-        Planning phase: identical prompts are deduplicated, both cache
-        tiers are peeked (without touching their accounting), prompts the
-        fault plan degrades are set aside, every remaining missing
-        embedding is computed in one
-        :meth:`~repro.core.pas.PasModel.embed_prompts` pass, and every
-        missing complement in one
-        :meth:`~repro.core.pas.PasModel.augment_with_embeddings` pass.
-        Serving phase: each request then replays the exact scalar
-        :meth:`ask` sequence — cache gets/puts on both tiers, breaker
-        transitions, completions, and stats happen in the same order with
-        the same values, so responses (including ``degraded`` and
-        ``failed`` outcomes), ``GatewayStats``, and both caches'
-        hit/miss/recency state are all bit-identical to
-        ``[self.ask(r) for r in requests]``.
+        One :meth:`plan_batch` over the whole batch, then
+        :meth:`serve_planned` per request in order.  Each serve touches
+        both cache tiers, the breakers, the clients and the counters
+        exactly as its own :meth:`ask` would, so responses (including
+        ``degraded`` and ``failed`` outcomes), ``GatewayStats``, both
+        caches' hit/miss/recency state, events and metrics are all
+        bit-identical to ``[self.ask(r) for r in requests]`` — for any
+        partition of the requests into batches.
 
-        With tracing on, planning runs inside its own ``gateway.plan``
-        trace (cache peeks + the batched augment), then each request
-        produces the same ``gateway.ask`` trace shape the scalar path
-        would.
+        With tracing on, planning runs inside one ``gateway.plan`` trace
+        (cache peeks + the batched augment), then each request produces
+        the same ``gateway.ask`` trace shape an :meth:`ask` would.
 
         Non-strict (default): returns one response per request, always.
         Strict: the first failure raises the same exception from the same
-        request the scalar loop would (earlier responses are counted but
+        request the ask loop would (earlier responses are counted but
         not returned).
         """
         strict = self._strictness(strict)
@@ -887,22 +865,22 @@ class PasGateway:
         if not requests:
             return []
         plan = self.plan_batch(requests)
-        return [
-            self._serve(request, plan.precomputed, strict=strict, degraded=plan.degraded)
-            for request in requests
-        ]
+        return [self._serve(request, plan, strict=strict) for request in requests]
 
     def plan_batch(self, requests: Sequence[ServeRequest]) -> BatchPlan:
-        """The planning phase of :meth:`ask_batch`, as a reusable step.
+        """Plan the augmentation of a batch, inside a ``gateway.plan`` span.
 
-        Dedupes prompts, peeks both cache tiers, sets fault-degraded
-        prompts aside, and runs the batched embed + augment passes —
-        exactly the work ``ask_batch`` does before its serving replay,
-        inside the same ``gateway.plan`` span.  The returned
-        :class:`BatchPlan` can be replayed through :meth:`serve_planned`
-        at any later tick; the serving engine plans each drained batch
-        once, then finishes its requests as their simulated completions
-        land.
+        Dedupes prompts, peeks both cache tiers (without touching their
+        accounting), sets the prompts the fault plan degrades aside, and
+        computes every remaining missing embedding in one
+        :meth:`~repro.core.pas.PasModel.embed_prompts` pass and every
+        missing complement in one
+        :meth:`~repro.core.pas.PasModel.augment_with_embeddings` pass.
+        Planning changes no cache, counter or event; the returned
+        :class:`BatchPlan` can be served through :meth:`serve_planned` at
+        any later tick.  :meth:`ask` plans one request, :meth:`ask_batch`
+        a whole batch, and the serving engine each drained batch, whose
+        requests it finishes as their simulated completions land.
         """
         requests = list(requests)
         tracer = self.obs.tracer
@@ -920,12 +898,11 @@ class PasGateway:
                     cached = self._complement_cache.peek(request.prompt)
                     if cached is not None:
                         # Hold the value: if the entry is evicted mid-batch, the
-                        # replay below still serves what augment() would recompute.
+                        # serve still has what a re-augment would compute.
                         precomputed[request.prompt] = (cached, None)
                     elif plan is not None and plan.augment_fails(request.prompt):
-                        # The scalar augment() would raise for this prompt; keep it
-                        # out of the batched forward pass (and both cache tiers) so
-                        # the replay degrades it exactly where the scalar loop would.
+                        # Keep a faulting prompt out of the forward pass (and
+                        # both cache tiers); its serve raises the fault.
                         degraded.add(request.prompt)
                     else:
                         to_augment.append(request.prompt)
@@ -968,18 +945,15 @@ class PasGateway:
     ) -> ServeResponse:
         """Serve one request against a prepared :class:`BatchPlan`.
 
-        Identical to the per-request replay inside :meth:`ask_batch` —
-        same cache touches, breaker transitions, counters, and span
-        shape — but callable one request at a time, so the serving
-        engine can finish planned requests in completion order rather
-        than arrival order.
+        The one serving step behind :meth:`ask`, :meth:`ask_batch` and
+        the serving engine: route and check the breaker; take the
+        complement (a complement-cache hit, else the injected fault the
+        planner found, else the planned complement with its
+        embedding-tier touches); complete; count.  Callable one request
+        at a time, so the serving engine can finish planned requests in
+        completion order rather than arrival order.
         """
-        return self._serve(
-            request,
-            plan.precomputed,
-            strict=self._strictness(strict),
-            degraded=plan.degraded,
-        )
+        return self._serve(request, plan, strict=self._strictness(strict))
 
     def completion_latency(self, request: ServeRequest, plan: BatchPlan | None = None) -> int:
         """Simulated completion cost of ``request``, in logical ticks.

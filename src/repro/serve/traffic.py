@@ -11,8 +11,9 @@ benches gate on speedups and the parity suite compare runs.
 A trace is a list of :class:`TimedRequest` — an arrival tick on the
 logical clock plus the :class:`~repro.serve.types.ServeRequest` to serve,
 annotated with tenant, priority, and an optional per-request deadline
-budget.  Feed it to :class:`~repro.serve.engine.ServingEngine`, or replay
-it synchronously with :meth:`~repro.serve.scheduler.MicroBatcher.run_arrivals`.
+budget.  Feed it to :class:`~repro.serve.engine.ServingEngine`; at
+``max_inflight=1`` the engine serves a one-model trace exactly as the
+gateway's ``ask`` loop over its requests would.
 """
 
 from __future__ import annotations

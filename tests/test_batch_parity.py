@@ -209,6 +209,11 @@ class TestMicroBatcherParity:
         expected = direct.ask_batch(requests)
         for max_batch, max_wait in ((1, 1), (3, 2), (5, 100)):
             gateway = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=4, embed_cache_size=4))
-            batcher = MicroBatcher(gateway.ask_batch, max_batch=max_batch, max_wait=max_wait)
-            assert batcher.run_arrivals(enumerate(requests, start=1)) == expected
+            batcher = MicroBatcher(max_batch=max_batch, max_wait=max_wait)
+            responses = []
+            for tick, request in enumerate(requests, start=1):
+                batcher.submit_at(tick, request)
+                responses.extend(gateway.ask_batch(batcher.take(tick)))
+            responses.extend(gateway.ask_batch(batcher.take(tick, force=True)))
+            assert responses == expected
             assert gateway.stats == direct.stats

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import bisect
+import json
 import math
 from unittest import mock
 
@@ -22,7 +23,12 @@ from repro.llm import api as llm_api
 from repro.llm.api import ChatClient
 from repro.llm.engine import SimulatedLLM
 from repro.llm.types import Message
+from repro.obs import Observability
 from repro.resilience import FaultPlan, OutageWindow, RetryPolicy
+from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.gateway import GatewayConfig, PasGateway
+from repro.serve.traffic import TimedRequest
+from repro.serve.types import ServeRequest
 from repro.utils import textproc
 from repro.utils.rng import stable_hash
 from repro.utils.stats import length_controlled_win_rate, nearest_rank, win_rate
@@ -34,6 +40,7 @@ from repro.world.aspects import (
     find_markers,
     parse_directives,
 )
+from repro.world.prompts import PromptFactory
 from repro.world.quality import FLAW_MARKERS
 from repro.core.golden import MAX_DIRECTIVES, render_complement
 from tests.classify_oracle import reference_fit, reference_transform_batch
@@ -579,3 +586,107 @@ class TestCompletionMemoProperties:
             assert memoised.usage == plain.usage
             assert memo_events == plain_events
         assert not plain._completions and not plain._latencies
+
+
+#: Real prompts for the serving property: the planner embeds and augments
+#: them, so they must look like traffic.
+_SERVING_POOL = [
+    PromptFactory(rng=np.random.default_rng(23)).make_prompt().text for _ in range(12)
+]
+
+
+@st.composite
+def _serving_cases(draw):
+    """Requests with repeats, unaugmented and unroutable ones; small
+    caches; an optional fault plan; and a partition of the requests."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    requests = [
+        ServeRequest(
+            prompt=_SERVING_POOL[draw(st.integers(0, len(_SERVING_POOL) - 1))],
+            model=draw(st.sampled_from(("gpt-4-0613", "qwen2-72b-chat", "no-such-model"))),
+            augment=draw(st.booleans()),
+            request_id=draw(st.one_of(st.none(), st.just(f"q{i}"))),
+        )
+        for i in range(n)
+    ]
+    cache_size = draw(st.integers(1, 8))
+    embed_cache_size = draw(st.integers(0, 8))
+    fault_plan = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                FaultPlan,
+                seed=st.integers(0, 1000),
+                augment_failure_rate=st.sampled_from((0.0, 0.2, 0.5)),
+                completion_failure_rate=st.sampled_from((0.0, 0.2, 0.4)),
+            ),
+        )
+    )
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    partition = [requests[a:b] for a, b in zip(bounds, bounds[1:])]
+    return requests, cache_size, embed_cache_size, fault_plan, partition
+
+
+def _serving_gateway(pas, cache_size, embed_cache_size, fault_plan):
+    # A fresh FaultPlan per gateway: an observer attaches to the instance.
+    plan = None if fault_plan is None else FaultPlan.from_dict(fault_plan.as_dict())
+    config = GatewayConfig(
+        cache_size=cache_size,
+        embed_cache_size=embed_cache_size,
+        fault_plan=plan,
+        max_retries=1,
+        breaker_threshold=2,
+        breaker_recovery_ticks=3,
+    )
+    obs = Observability.enabled()
+    return PasGateway(pas, config=config, obs=obs), obs
+
+
+def _cache_counters(gateway):
+    complement = gateway._complement_cache
+    stats = gateway.stats
+    return (complement.hits, complement.misses, stats.embed_cache_hits, stats.embed_cache_misses)
+
+
+class TestServingPathProperties:
+    """One serving path: the ``ask`` loop, ``ask_batch`` over any
+    partition and the engine at ``max_inflight=1`` serve alike."""
+
+    @given(case=_serving_cases())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_partition_serves_as_the_ask_loop(self, trained_pas, case):
+        requests, cache_size, embed_cache_size, fault_plan, partition = case
+        gateway_args = (cache_size, embed_cache_size, fault_plan)
+        loop_gw, loop_obs = _serving_gateway(trained_pas, *gateway_args)
+        loop = [loop_gw.ask(request) for request in requests]
+        batch_gw, batch_obs = _serving_gateway(trained_pas, *gateway_args)
+        batched = [r for batch in partition for r in batch_gw.ask_batch(batch)]
+
+        assert batched == loop
+        assert batch_gw.stats.as_dict() == loop_gw.stats.as_dict()
+        assert _cache_counters(batch_gw) == _cache_counters(loop_gw)
+        assert json.dumps(batch_obs.events.as_dicts()) == json.dumps(loop_obs.events.as_dicts())
+        assert json.dumps(batch_obs.metrics.snapshot(), sort_keys=True) == json.dumps(
+            loop_obs.metrics.snapshot(), sort_keys=True
+        )
+
+    @given(case=_serving_cases())
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_compat_engine_serves_as_the_ask_loop(self, trained_pas, case):
+        requests, cache_size, embed_cache_size, fault_plan, _ = case
+        gateway_args = (cache_size, embed_cache_size, fault_plan)
+        # Slots are per model, so only a one-model trace serializes: a
+        # request to another model (an unroutable one included, which
+        # "finishes" after one tick) can overtake an earlier completion
+        # and shift the gateway clock its breakers run on.
+        requests = [r for r in requests if r.model == "gpt-4-0613"]
+        loop_gw, _ = _serving_gateway(trained_pas, *gateway_args)
+        loop = [loop_gw.ask(request) for request in requests]
+        engine_gw, _ = _serving_gateway(trained_pas, *gateway_args)
+        trace = [TimedRequest(tick=i + 1, request=r) for i, r in enumerate(requests)]
+        result = ServingEngine(engine_gw, EngineConfig(max_inflight=1)).run(trace)
+
+        assert result.responses == loop
+        assert engine_gw.stats.as_dict() == loop_gw.stats.as_dict()
+        assert _cache_counters(engine_gw) == _cache_counters(loop_gw)

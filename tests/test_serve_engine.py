@@ -3,9 +3,9 @@
 Three pinned guarantees (ISSUE 7):
 
 * **Compat parity** — at ``max_inflight=1`` the engine's responses are
-  bit-identical to the synchronous ``ask_batch`` loop on the same trace,
-  clean and under injected faults alike (partition invariance does the
-  heavy lifting).
+  bit-identical to the gateway's ``ask`` loop over the same trace, clean
+  and under injected faults alike (partition invariance does the heavy
+  lifting).
 * **Determinism** — same seed, same trace → byte-identical responses,
   event/trace exports, and metrics snapshots, at any concurrency.
 * **Shedding** — deadline/queue-shed requests come back ``failed`` with
@@ -26,7 +26,6 @@ from repro.serve import (
     EngineConfig,
     FaultPlan,
     GatewayConfig,
-    MicroBatcher,
     PasGateway,
     ServingEngine,
     TenantProfile,
@@ -121,14 +120,12 @@ class TestEngineConfig:
 
 
 class TestCompatParity:
-    """max_inflight=1 == the synchronous MicroBatcher/ask_batch loop."""
+    """max_inflight=1 == the gateway's synchronous ask loop."""
 
     def test_clean_trace_bit_identical(self, trained_pas):
         trace = _trace(n=100, seed=1)
         sync_gateway = _gateway(trained_pas)
-        sync = MicroBatcher(sync_gateway.ask_batch, max_batch=8, max_wait=4).run_arrivals(
-            (t.tick, t.request) for t in trace
-        )
+        sync = [sync_gateway.ask(t.request) for t in trace]
         engine_gateway = _gateway(trained_pas)
         result = ServingEngine(engine_gateway, EngineConfig(max_inflight=1)).run(trace)
         assert result.responses == sync
@@ -141,9 +138,7 @@ class TestCompatParity:
             seed=seed, completion_failure_rate=0.2, augment_failure_rate=0.1
         )
         sync_gateway = _gateway(trained_pas, fault_plan=plan, max_retries=2)
-        sync = MicroBatcher(sync_gateway.ask_batch, max_batch=8, max_wait=4).run_arrivals(
-            (t.tick, t.request) for t in trace
-        )
+        sync = [sync_gateway.ask(t.request) for t in trace]
         engine_gateway = _gateway(trained_pas, fault_plan=plan, max_retries=2)
         result = ServingEngine(engine_gateway, EngineConfig(max_inflight=1)).run(trace)
         assert result.responses == sync
@@ -158,9 +153,7 @@ class TestCompatParity:
             )
         ]
         sync_gateway = _gateway(trained_pas)
-        sync = MicroBatcher(sync_gateway.ask_batch, max_batch=4, max_wait=4).run_arrivals(
-            (t.tick, t.request) for t in trace
-        )
+        sync = [sync_gateway.ask(t.request) for t in trace]
         engine_gateway = _gateway(trained_pas)
         result = ServingEngine(engine_gateway, EngineConfig(max_inflight=1)).run(trace)
         assert result.responses == sync
@@ -212,7 +205,7 @@ class TestDeterminism:
         assert "pas_engine_inflight" in obs.metrics
         assert "pas_request_latency_ticks" in obs.metrics
         assert "pas_queue_wait_ticks" in obs.metrics
-        assert "pas_scheduler_occupancy" in obs.metrics
+        assert "pas_batch_occupancy" in obs.metrics
         hist = obs.metrics.histogram("pas_request_latency_ticks", buckets=())
         assert hist.count() == result.stats.served + result.stats.failed
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.ann.sharded import ShardedHnswIndex
+from repro.errors import ReproError
 from repro.obs import EventLog, MetricsRegistry, Observability, Tracer, TraceStore
 from repro.resilience import FaultPlan, OutageWindow, RetryPolicy
 from repro.serve.gateway import (
@@ -32,6 +33,7 @@ from repro.serve.gateway import (
 from repro.serve.scheduler import MicroBatcher
 from repro.serve.types import ServeRequest, ServeResponse
 from repro.utils.io import dump_jsonl, load_jsonl
+from repro.world.prompts import PromptFactory
 
 #: CI's obs job exports PAS_CHAOS_SEED to shift the chaos seed.
 CHAOS_SEED = 11 + int(os.environ.get("PAS_CHAOS_SEED", "0"))
@@ -245,8 +247,12 @@ class TestFailureAttribution:
     def test_store_query_helpers_cover_the_run(self, run):
         _, responses, _, obs = run
         store = obs.tracer.store
+        # Each ask also records its one-request gateway.plan trace; count
+        # the gateway.ask roots only.
         by_status = {
-            status: len(store.by_status(status))
+            status: sum(
+                t.root.name == "gateway.ask" for t in store.by_status(status)
+            )
             for status in ("ok", "degraded", "failed")
         }
         want = {
@@ -365,15 +371,144 @@ class TestEventsAndMetrics:
         assert gateway.stats.requests == 1
 
 
+def _pool(n, seed=CHAOS_SEED):
+    factory = PromptFactory(rng=np.random.default_rng(seed))
+    return [factory.make_prompt().text for _ in range(n)]
+
+
+def _augment_faults(obs):
+    return [e for e in obs.events.by_kind("fault.injected") if e.attrs["stage"] == "augment"]
+
+
+class TestAugmentFaultEvents:
+    """An augmentation fault is recorded when a serve raises it — once per
+    degraded (or strictly failed) serve, at that serve's tick — never
+    when a planner merely asks whether the prompt faults."""
+
+    PLAN = dict(seed=CHAOS_SEED, augment_failure_rate=0.5)
+
+    def _faulting_prompt(self):
+        probe = FaultPlan(**self.PLAN)
+        return next(p for p in _pool(40) if probe.augment_fails(p))
+
+    def _run(self, trained_pas, requests, batched):
+        obs = Observability.enabled()
+        config = GatewayConfig(fault_plan=FaultPlan(**self.PLAN))
+        gateway = PasGateway(trained_pas, config=config, obs=obs)
+        if batched:
+            responses = gateway.ask_batch(requests)
+        else:
+            responses = [gateway.ask(request) for request in requests]
+        faults = obs.metrics.counter("pas_faults_total").value(stage="augment")
+        return responses, [e.tick for e in _augment_faults(obs)], faults
+
+    def test_one_event_per_degraded_serve(self, trained_pas):
+        prompt = self._faulting_prompt()
+        requests = [ServeRequest(prompt=prompt, model="gpt-4-0613")] * 2
+        responses, ticks, faults = self._run(trained_pas, requests, batched=True)
+        assert [r.status for r in responses] == ["degraded", "degraded"]
+        assert ticks == [1, 2]
+        assert faults == 2
+        assert (responses, ticks, faults) == self._run(trained_pas, requests, batched=False)
+
+    def test_request_failing_at_routing_injects_no_fault(self, trained_pas):
+        requests = [ServeRequest(prompt=self._faulting_prompt(), model="no-such-model")]
+        for batched in (True, False):
+            (response,), ticks, faults = self._run(trained_pas, requests, batched)
+            assert response.status == "failed"
+            assert ticks == [] and faults == 0
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,) * 80, (80,), (7,) * 11 + (3,), (3, 5, 8, 13, 21, 30)],
+        ids=["singles", "one-batch", "sevens", "fibonacci"],
+    )
+    def test_any_partition_exports_what_the_ask_loop_does(self, trained_pas, sizes):
+        pool = _pool(24)
+        rng = np.random.default_rng(CHAOS_SEED)
+        requests = [
+            ServeRequest(
+                prompt=pool[int(rng.integers(len(pool)))],
+                model="no-such-model" if i % 13 == 5 else "gpt-4-0613",
+                augment=i % 11 != 3,
+                request_id=f"p{i}",
+            )
+            for i in range(80)
+        ]
+
+        def run(partition):
+            obs = Observability.enabled()
+            config = GatewayConfig(
+                cache_size=4,
+                embed_cache_size=6,
+                fault_plan=FaultPlan(
+                    seed=CHAOS_SEED, augment_failure_rate=0.3, completion_failure_rate=0.2
+                ),
+                max_retries=1,
+            )
+            gateway = PasGateway(trained_pas, config=config, obs=obs)
+            if partition is None:
+                responses = [gateway.ask(request) for request in requests]
+            else:
+                responses, start = [], 0
+                for size in partition:
+                    responses.extend(gateway.ask_batch(requests[start:start + size]))
+                    start += size
+            return (
+                responses,
+                gateway.stats.as_dict(),
+                json.dumps(obs.events.as_dicts(), sort_keys=True),
+                json.dumps(obs.metrics.snapshot(), sort_keys=True),
+            )
+
+        loop = run(None)
+        assert any(r.status == "degraded" for r in loop[0])
+        assert run(sizes) == loop
+
+
+class TestStrictFailureEvents:
+    @pytest.mark.parametrize("batched", [False, True], ids=["ask", "ask_batch"])
+    def test_every_strict_failure_emits_serve_failed(self, trained_pas, batched):
+        obs = Observability.enabled()
+        config = GatewayConfig(
+            strict=True,
+            max_retries=0,
+            fault_plan=FaultPlan(
+                seed=CHAOS_SEED, augment_failure_rate=0.5, completion_failure_rate=0.3
+            ),
+        )
+        gateway = PasGateway(trained_pas, config=config, obs=obs)
+        pending = [ServeRequest(prompt=p, model="gpt-4-0613") for p in _pool(40)]
+        errors = []
+        while pending:
+            start = gateway.clock
+            try:
+                if batched:
+                    gateway.ask_batch(pending)
+                else:
+                    gateway.ask(pending[0])
+            except ReproError as error:
+                errors.append(type(error).__name__)
+            # a strict batch stops at its first failure: resume after it
+            pending = pending[gateway.clock - start:]
+        assert {"AugmentationError", "TransientApiError"} <= set(errors)
+        failed = obs.events.by_kind("serve.failed")
+        assert len(failed) == gateway.stats.failures == len(errors)
+        assert sum(e.attrs["stage"] == "augment" for e in failed) == errors.count(
+            "AugmentationError"
+        )
+
+
 class TestSchedulerObservability:
     def test_batch_drain_events_and_histograms(self, trained_pas):
         obs = Observability.enabled()
         gateway = PasGateway(pas=trained_pas, config=GatewayConfig(), obs=obs)
-        batcher = MicroBatcher(gateway.ask_batch, max_batch=3, max_wait=5, obs=obs)
-        responses = batcher.run_arrivals(
-            (i, ServeRequest(prompt=p, model="gpt-4-0613"))
-            for i, p in enumerate(PROMPTS[:7], start=1)
-        )
+        batcher = MicroBatcher(max_batch=3, max_wait=5, obs=obs)
+        responses = []
+        for tick, prompt in enumerate(PROMPTS[:7], start=1):
+            batcher.submit_at(tick, ServeRequest(prompt=prompt, model="gpt-4-0613"))
+            responses.extend(gateway.ask_batch(batcher.take(tick)))
+        responses.extend(gateway.ask_batch(batcher.take(tick, force=True)))
         assert len(responses) == 7
         drains = obs.events.by_kind("batch.drain")
         assert len(drains) == len(batcher.records) == 3
@@ -381,7 +516,6 @@ class TestSchedulerObservability:
             assert event.attrs["tick"] == record.tick
             assert event.attrs["size"] == record.size
             assert event.attrs["trigger"] == record.trigger
-            assert event.attrs["n_ok"] == record.n_ok
         assert batcher.stats.triggers == {"size": 2, "flush": 1}
         size_hist = obs.metrics.histogram("pas_batch_size")
         assert size_hist.count() == 3
@@ -392,16 +526,17 @@ class TestSchedulerObservability:
     def test_scheduler_never_rebinds_a_shared_event_clock(self, trained_pas):
         obs = Observability.enabled()
         gateway = PasGateway(pas=trained_pas, config=GatewayConfig(), obs=obs)
-        batcher = MicroBatcher(gateway.ask_batch, max_batch=2, obs=obs)
-        batcher.run_arrivals(
-            (i, ServeRequest(prompt=p, model="gpt-4-0613"))
-            for i, p in enumerate(PROMPTS[:2], start=1)
-        )
-        (drain,) = obs.events.by_kind("batch.drain")
-        # event ticks come from the *gateway* clock; the batcher's own tick
-        # rides in the attributes.
-        assert drain.tick == gateway.clock
-        assert drain.attrs["tick"] == batcher.clock
+        batcher = MicroBatcher(max_batch=2, obs=obs)
+        for tick, prompt in enumerate(PROMPTS[:4], start=1):
+            batcher.submit_at(tick, ServeRequest(prompt=prompt, model="gpt-4-0613"))
+            gateway.ask_batch(batcher.take(tick))
+        first, second = obs.events.by_kind("batch.drain")
+        # event ticks come from the *gateway* clock (two requests served
+        # when the second batch is pulled); the batcher's own tick rides
+        # in the attributes.
+        assert (first.tick, second.tick) == (0, 2)
+        assert gateway.clock == 4
+        assert second.attrs["tick"] == batcher.clock == 4
 
 
 class TestAnnObservability:

@@ -456,13 +456,15 @@ class TestChaos:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_microbatcher_surfaces_outcomes(self, trained_pas, seed):
         gateway = self._gateway(trained_pas, seed)
-        batcher = MicroBatcher(gateway.ask_batch, max_batch=5, max_wait=3)
-        responses = batcher.run_arrivals(enumerate(self._traffic(), start=1))
+        batcher = MicroBatcher(max_batch=5, max_wait=3)
+        responses = []
+        for tick, request in enumerate(self._traffic(), start=1):
+            batcher.submit_at(tick, request)
+            responses.extend(gateway.ask_batch(batcher.take(tick)))
+        responses.extend(gateway.ask_batch(batcher.take(tick, force=True)))
         assert len(responses) == len(self._traffic())
-        assert sum(r.n_ok + r.n_degraded + r.n_failed for r in batcher.records) == len(
-            responses
-        )
-        assert sum(r.n_failed for r in batcher.records) == gateway.stats.failures
+        assert sum(r.size for r in batcher.records) == len(responses)
+        assert sum(r.failed for r in responses) == gateway.stats.failures
 
 
 class TestMemoParity:

@@ -1,4 +1,4 @@
-"""Tests for the deterministic micro-batching scheduler."""
+"""Tests for the deterministic micro-batching scheduler (pull mode)."""
 
 import pytest
 
@@ -22,25 +22,52 @@ def _requests(prompts=PROMPTS, model="gpt-4-0613"):
     return [ServeRequest(prompt=p, model=model) for p in prompts]
 
 
+def pull_loop(batcher, serve, requests):
+    """One arrival per tick; pull after each, force the tail at the end.
+
+    Every pulled batch goes to ``serve`` (``gateway.ask_batch``, say) and
+    the responses come back in arrival order.
+    """
+    responses = []
+    tick = 0
+    for tick, request in enumerate(requests, start=1):
+        batcher.submit_at(tick, request)
+        batch = batcher.take(tick)
+        if batch:
+            responses.extend(serve(batch))
+    tail = batcher.take(tick, force=True)
+    if tail:
+        responses.extend(serve(tail))
+    return responses
+
+
+def _collect(batches):
+    def serve(batch):
+        batches.append(list(batch))
+        return []
+
+    return serve
+
+
 class TestTriggers:
     def test_size_trigger_drains_full_batch(self):
-        batches = []
-        mb = MicroBatcher(lambda reqs: batches.append(list(reqs)) or [], max_batch=3, max_wait=10)
+        mb = MicroBatcher(max_batch=3, max_wait=10)
         reqs = _requests()
-        for r in reqs[:2]:
-            assert mb.submit(r) == []
+        for tick, r in enumerate(reqs[:2], start=1):
+            mb.submit_at(tick, r)
+            assert mb.take(tick) == []
         assert mb.pending == 2
-        mb.submit(reqs[2])  # third request fills the batch
+        mb.submit_at(3, reqs[2])  # third request fills the batch
+        assert mb.ready(3) == "size"
+        assert len(mb.take(3)) == 3
         assert mb.pending == 0
-        assert [len(b) for b in batches] == [3]
         assert mb.records[0].trigger == "size"
         assert mb.records[0].occupancy == 1.0
 
     def test_wait_trigger_drains_partial_batch(self):
         batches = []
-        mb = MicroBatcher(lambda reqs: batches.append(list(reqs)) or [], max_batch=100, max_wait=3)
-        for r in _requests()[:4]:
-            mb.submit(r)
+        mb = MicroBatcher(max_batch=100, max_wait=3)
+        pull_loop(mb, _collect(batches), _requests()[:4])
         # request 1 arrived at tick 1; by tick 4 it has waited 3 ticks.
         assert [len(b) for b in batches] == [4]
         assert mb.records[0].trigger == "wait"
@@ -48,28 +75,23 @@ class TestTriggers:
         assert mb.records[0].occupancy == pytest.approx(0.04)
 
     def test_flush_drains_tail(self):
-        batches = []
-        mb = MicroBatcher(lambda reqs: batches.append(list(reqs)) or [], max_batch=100, max_wait=100)
-        for r in _requests()[:2]:
-            mb.submit(r)
-        assert batches == []
-        mb.flush()
-        assert [len(b) for b in batches] == [2]
+        mb = MicroBatcher(max_batch=100, max_wait=100)
+        for tick, r in enumerate(_requests()[:2], start=1):
+            mb.submit_at(tick, r)
+        assert mb.take(2) == []
+        assert len(mb.take(2, force=True)) == 2
         assert mb.records[0].trigger == "flush"
-        assert mb.flush() == []  # idempotent when empty
+        assert mb.take(2, force=True) == []  # idempotent when empty
 
     def test_logical_clock_counts_submissions(self):
-        mb = MicroBatcher(lambda reqs: [], max_batch=2, max_wait=2)
+        mb = MicroBatcher(max_batch=2, max_wait=2)
         assert mb.clock == 0
-        for r in _requests()[:5]:
-            mb.submit(r)
+        pull_loop(mb, _collect([]), _requests()[:5])
         assert mb.clock == 5
 
     def test_stats_accumulate(self):
-        mb = MicroBatcher(lambda reqs: [], max_batch=3, max_wait=10)
-        for r in _requests()[:7]:
-            mb.submit(r)
-        mb.flush()
+        mb = MicroBatcher(max_batch=3, max_wait=10)
+        pull_loop(mb, _collect([]), _requests()[:7])
         assert mb.stats.submitted == 7
         assert mb.stats.drained == 7
         assert mb.stats.batches == 3
@@ -78,15 +100,14 @@ class TestTriggers:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MicroBatcher(lambda reqs: [], max_batch=0)
+            MicroBatcher(max_batch=0)
         with pytest.raises(ValueError):
-            MicroBatcher(lambda reqs: [], max_wait=0)
+            MicroBatcher(max_wait=0)
 
     def test_occupancy_percentiles_in_stats(self):
-        mb = MicroBatcher(lambda reqs: [], max_batch=4, max_wait=10)
-        for r in _requests()[:6]:
-            mb.submit(r)
-        mb.flush()  # one full batch (1.0), one half batch (0.5)
+        mb = MicroBatcher(max_batch=4, max_wait=10)
+        # one full batch (1.0), then the forced half batch (0.5)
+        pull_loop(mb, _collect([]), _requests()[:6])
         stats = mb.stats.as_dict()
         assert stats["mean_occupancy"] == pytest.approx(0.75)
         assert stats["occupancy_p50"] == pytest.approx(0.5)
@@ -95,19 +116,18 @@ class TestTriggers:
 
 class TestTimedSubmission:
     def test_submit_at_fires_wait_trigger_on_trace_gaps(self):
-        batches = []
-        mb = MicroBatcher(lambda reqs: batches.append(list(reqs)) or [], max_batch=10, max_wait=3)
+        mb = MicroBatcher(max_batch=10, max_wait=3)
         reqs = _requests()
         mb.submit_at(1, reqs[0])
         mb.submit_at(2, reqs[1])
-        assert batches == []
+        assert mb.take(2) == []
         mb.submit_at(9, reqs[2])  # the 7-tick gap ages the queue past max_wait
-        assert [len(b) for b in batches] == [3]
+        assert len(mb.take(9)) == 3
         assert mb.records[0].trigger == "wait"
         assert mb.records[0].max_wait_ticks == 8
 
     def test_submit_at_rejects_time_travel(self):
-        mb = MicroBatcher(lambda reqs: [], max_batch=10, max_wait=10)
+        mb = MicroBatcher(max_batch=10, max_wait=10)
         mb.submit_at(5, _requests()[0])
         mb.submit_at(5, _requests()[1])  # same tick is fine
         with pytest.raises(ValueError):
@@ -117,22 +137,23 @@ class TestTimedSubmission:
         reqs = _requests()
         direct = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=8))
         scheduled = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=8))
-        mb = MicroBatcher(scheduled.ask_batch, max_batch=3, max_wait=2)
-        arrivals = [(i + 1, r) for i, r in enumerate(reqs)]
-        assert mb.run_arrivals(arrivals) == direct.ask_batch(reqs)
+        mb = MicroBatcher(max_batch=3, max_wait=2)
+        assert pull_loop(mb, scheduled.ask_batch, reqs) == direct.ask_batch(reqs)
         assert scheduled.stats == direct.stats
 
 
 class TestContinuousMode:
+    """The pull mode: submissions queue, and only :meth:`take` drains."""
+
     def test_submissions_only_queue(self):
-        mb = MicroBatcher(None, max_batch=2, max_wait=2)
+        mb = MicroBatcher(max_batch=2, max_wait=2)
         for tick, r in enumerate(_requests()[:5], start=1):
-            assert mb.submit_at(tick, r) == []
+            mb.submit_at(tick, r)
         assert mb.pending == 5
-        assert mb.continuous
+        assert mb.records == []
 
     def test_take_respects_triggers_and_limit(self):
-        mb = MicroBatcher(None, max_batch=3, max_wait=10)
+        mb = MicroBatcher(max_batch=3, max_wait=10)
         reqs = _requests()
         mb.submit_at(1, reqs[0])
         assert mb.ready(1) is None
@@ -144,47 +165,49 @@ class TestContinuousMode:
         assert [t.prompt for t in taken] == [r.prompt for r in reqs[:2]]
         assert mb.pending == 1
         assert mb.records[0].trigger == "size"
-        assert mb.records[0].n_ok == 0  # outcomes belong to the engine
 
     def test_take_force_flushes_tail(self):
-        mb = MicroBatcher(None, max_batch=10, max_wait=10)
+        mb = MicroBatcher(max_batch=10, max_wait=10)
         mb.submit_at(1, _requests()[0])
         assert mb.take(2) == []
         assert len(mb.take(2, force=True)) == 1
         assert mb.records[0].trigger == "flush"
 
     def test_wait_trigger_uses_take_clock(self):
-        mb = MicroBatcher(None, max_batch=10, max_wait=4)
+        mb = MicroBatcher(max_batch=10, max_wait=4)
         mb.submit_at(1, _requests()[0])
         assert mb.ready(4) is None
         assert mb.ready(5) == "wait"
         assert len(mb.take(5)) == 1
         assert mb.clock == 5
 
-    def test_flush_requires_a_handler(self):
-        mb = MicroBatcher(None)
-        mb.submit_at(1, _requests()[0])
-        with pytest.raises(RuntimeError):
-            mb.flush()
-
 
 class TestRemovedRun:
     def test_run_shim_is_gone(self):
         # The deprecated one-shot MicroBatcher.run() was removed after its
-        # call sites migrated to run_arrivals()/ServingEngine; it must not
-        # quietly come back.
-        assert not hasattr(MicroBatcher(None), "run")
+        # call sites migrated to the ServingEngine; it must not quietly
+        # come back.
+        assert not hasattr(MicroBatcher(), "run")
+
+    def test_handler_mode_is_gone(self):
+        # The batcher only queues and hands out batches; serving them is
+        # the caller's job, so there is no drain handler to call.
+        mb = MicroBatcher()
+        for name in ("submit", "flush", "run_arrivals", "continuous"):
+            assert not hasattr(mb, name)
+        with pytest.raises(TypeError):
+            MicroBatcher(handler=lambda batch: [])
 
 
 class TestGatewayParity:
-    """Draining through the scheduler == one direct ask_batch == the ask loop."""
+    """Pulled batches through ask_batch == one direct ask_batch == the ask loop."""
 
     def test_run_matches_direct_ask_batch(self, trained_pas):
         reqs = _requests()
         direct = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=8))
         scheduled = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=8))
-        mb = MicroBatcher(scheduled.ask_batch, max_batch=3, max_wait=2)
-        assert mb.run_arrivals(enumerate(reqs, start=1)) == direct.ask_batch(reqs)
+        mb = MicroBatcher(max_batch=3, max_wait=2)
+        assert pull_loop(mb, scheduled.ask_batch, reqs) == direct.ask_batch(reqs)
         assert scheduled.stats == direct.stats
         assert list(scheduled._complement_cache._data) == list(
             direct._complement_cache._data
@@ -196,18 +219,18 @@ class TestGatewayParity:
         reqs = _requests(PROMPTS + PROMPTS[::-1])
         scalar = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=3, embed_cache_size=3))
         scheduled = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=3, embed_cache_size=3))
-        mb = MicroBatcher(scheduled.ask_batch, max_batch=4, max_wait=3)
-        assert mb.run_arrivals(enumerate(reqs, start=1)) == [scalar.ask(r) for r in reqs]
+        mb = MicroBatcher(max_batch=4, max_wait=3)
+        assert pull_loop(mb, scheduled.ask_batch, reqs) == [scalar.ask(r) for r in reqs]
         assert scheduled.stats == scalar.stats
 
     def test_responses_in_arrival_order(self, trained_pas):
         gateway = PasGateway(pas=trained_pas, config=GatewayConfig(cache_size=8))
-        mb = MicroBatcher(gateway.ask_batch, max_batch=2, max_wait=5)
+        mb = MicroBatcher(max_batch=2, max_wait=5)
         reqs = [
             ServeRequest(prompt=p, model="gpt-4-0613", request_id=str(i))
             for i, p in enumerate(PROMPTS)
         ]
-        responses = mb.run_arrivals(enumerate(reqs, start=1))
+        responses = pull_loop(mb, gateway.ask_batch, reqs)
         assert [r.request_id for r in responses] == [str(i) for i in range(len(PROMPTS))]
 
     def test_handler_exception_consumes_batch(self, trained_pas, monkeypatch):
@@ -220,10 +243,13 @@ class TestGatewayParity:
             raise TransientApiError("gpt-4-0613: all attempts failed transiently")
 
         monkeypatch.setattr(client, "complete", exploding_complete)
-        mb = MicroBatcher(gateway.ask_batch, max_batch=2, max_wait=10)
+        mb = MicroBatcher(max_batch=2, max_wait=10)
         reqs = _requests()[:2]
-        mb.submit(reqs[0])
+        mb.submit_at(1, reqs[0])
+        assert mb.take(1) == []
+        mb.submit_at(2, reqs[1])
+        batch = mb.take(2)
+        assert mb.pending == 0  # a pulled batch has left the queue
         with pytest.raises(TransientApiError):
-            mb.submit(reqs[1])
-        assert mb.pending == 0  # the batch was consumed, as ask_batch's contract
+            gateway.ask_batch(batch)
         assert gateway.stats.failures_per_model == {"gpt-4-0613": 1}
