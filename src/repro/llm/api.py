@@ -30,6 +30,7 @@ from repro.llm.types import ChatCompletion, Message, build_messages
 from repro.obs import NULL_OBS, Observability
 from repro.resilience import FaultPlan, RetryPolicy, require_finite
 from repro.text.tokenizer import Tokenizer
+from repro.utils.serialize import Record
 
 __all__ = ["Usage", "TransientApiError", "LatencyModel", "DEFAULT_LATENCY", "ChatClient"]
 
@@ -42,7 +43,7 @@ _MEMO_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
-class LatencyModel:
+class LatencyModel(Record):
     """Deterministic simulated service latency for one completion.
 
     Real API completions take time — roughly an affine function of the
@@ -72,22 +73,6 @@ class LatencyModel:
             )
         if self.jitter < 0:
             raise ConfigError(f"jitter must be >= 0, got {self.jitter}")
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``LatencyModel.from_dict(m.as_dict()) == m``."""
-        return {
-            "base_ticks": self.base_ticks,
-            "per_token_ticks": self.per_token_ticks,
-            "jitter": self.jitter,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyModel":
-        return cls(
-            base_ticks=float(data["base_ticks"]),
-            per_token_ticks=float(data["per_token_ticks"]),
-            jitter=float(data["jitter"]),
-        )
 
     def ticks(
         self,

@@ -24,13 +24,14 @@ from repro.embedding.model import EmbeddingModel
 from repro.errors import ConfigError
 from repro.llm.engine import SimulatedLLM
 from repro.pipeline.select import QualityScorer
+from repro.utils.serialize import Record
 from repro.world.prompts import SyntheticPrompt
 
 __all__ = ["CollectionConfig", "SelectedPrompt", "CollectionResult", "PromptCollector"]
 
 
 @dataclass(frozen=True)
-class CollectionConfig:
+class CollectionConfig(Record):
     """Knobs for the three collection stages.
 
     ``dedup_shards`` / ``dedup_backend`` pick the ANN index behind the
@@ -67,40 +68,14 @@ class CollectionConfig:
                 f"dedup_backend must be auto/hnsw/sharded: {self.dedup_backend!r}"
             )
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict of every field, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CollectionConfig":
-        """Inverse of :meth:`as_dict`: ``from_dict(c.as_dict()) == c``."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class SelectedPrompt:
+class SelectedPrompt(Record):
     """A prompt that survived collection, with its *predicted* category."""
 
     prompt: SyntheticPrompt
     predicted_category: str
     quality: float
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict with a stable key order."""
-        return {
-            "prompt": self.prompt.as_dict(),
-            "predicted_category": self.predicted_category,
-            "quality": self.quality,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SelectedPrompt":
-        """Inverse of :meth:`as_dict`: ``from_dict(s.as_dict()) == s``."""
-        return cls(
-            prompt=SyntheticPrompt.from_dict(data["prompt"]),
-            predicted_category=data["predicted_category"],
-            quality=float(data["quality"]),
-        )
 
 
 @dataclass

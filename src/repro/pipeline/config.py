@@ -24,7 +24,7 @@ from repro.errors import ConfigError
 from repro.pipeline.collect import CollectionConfig
 from repro.pipeline.generate import GenerationConfig
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.utils.serialize import register
+from repro.utils.serialize import Record, register
 
 __all__ = ["RunnerConfig", "PipelineConfig"]
 
@@ -33,7 +33,7 @@ PIPELINE_STAGES = ("dedup", "quality", "classify", "generate", "dataset")
 
 
 @dataclass(frozen=True)
-class RunnerConfig:
+class RunnerConfig(Record):
     """Execution knobs for :class:`~repro.pipeline.runner.PipelineRunner`.
 
     These govern *how* the run executes — checkpoint cadence, which
@@ -73,48 +73,9 @@ class RunnerConfig:
                 f"fail_after_pairs must be >= 1: {self.fail_after_pairs}"
             )
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict (fault plan and retry policy flattened)."""
-        return {
-            "checkpoint_every": self.checkpoint_every,
-            "teacher_model": self.teacher_model,
-            "critic_model": self.critic_model,
-            "grader_model": self.grader_model,
-            "fault_plan": (
-                None if self.fault_plan is None else self.fault_plan.as_dict()
-            ),
-            "retry_policy": (
-                None if self.retry_policy is None else self.retry_policy.as_dict()
-            ),
-            "fail_after_stage": self.fail_after_stage,
-            "fail_after_pairs": self.fail_after_pairs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunnerConfig":
-        """Inverse of :meth:`as_dict`: ``from_dict(c.as_dict()) == c``."""
-        return cls(
-            checkpoint_every=int(data["checkpoint_every"]),
-            teacher_model=data["teacher_model"],
-            critic_model=data["critic_model"],
-            grader_model=data["grader_model"],
-            fault_plan=(
-                None
-                if data["fault_plan"] is None
-                else FaultPlan.from_dict(data["fault_plan"])
-            ),
-            retry_policy=(
-                None
-                if data["retry_policy"] is None
-                else RetryPolicy.from_dict(data["retry_policy"])
-            ),
-            fail_after_stage=data["fail_after_stage"],
-            fail_after_pairs=data["fail_after_pairs"],
-        )
-
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     """Every knob of the offline curation pipeline, in one place.
 
     Mirrors ``GatewayConfig``'s shape: nested frozen sections, a
@@ -133,25 +94,6 @@ class PipelineConfig:
         self.collection.validate()
         self.generation.validate()
         self.runner.validate()
-
-    def as_dict(self) -> dict:
-        """JSON-safe nested dict with a stable key order."""
-        return {
-            "collection": self.collection.as_dict(),
-            "generation": self.generation.as_dict(),
-            "runner": self.runner.as_dict(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Inverse of :meth:`as_dict`: ``from_dict(c.as_dict()) == c``."""
-        return cls(
-            collection=CollectionConfig.from_dict(data["collection"]),
-            generation=GenerationConfig.from_dict(data["generation"]),
-            runner=RunnerConfig.from_dict(data["runner"]),
-            seed=int(data["seed"]),
-        )
 
 
 register(PipelineConfig)

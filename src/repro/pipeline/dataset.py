@@ -7,13 +7,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.utils.io import dump_jsonl, load_jsonl
+from repro.utils.serialize import Record
 from repro.world.aspects import parse_directives
 
 __all__ = ["PromptPair", "PromptPairDataset"]
 
 
 @dataclass(frozen=True)
-class PromptPair:
+class PromptPair(Record):
     """One (prompt, complementary prompt) training pair.
 
     ``true_needs`` / ``true_category`` carry the generator's ground truth
@@ -41,35 +42,9 @@ class PromptPair:
             return 1.0
         return len(self.complement_aspects & self.true_needs) / len(union)
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict with a stable key order (``true_needs`` becomes a
-        sorted list), mirroring :meth:`ServeResponse.as_dict`."""
-        return {
-            "prompt_uid": self.prompt_uid,
-            "prompt_text": self.prompt_text,
-            "complement_text": self.complement_text,
-            "category": self.category,
-            "true_category": self.true_category,
-            "true_needs": sorted(self.true_needs),
-            "regeneration_rounds": self.regeneration_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PromptPair":
-        """Inverse of :meth:`as_dict`: ``from_dict(p.as_dict()) == p``."""
-        return cls(
-            prompt_uid=int(data["prompt_uid"]),
-            prompt_text=data["prompt_text"],
-            complement_text=data["complement_text"],
-            category=data["category"],
-            true_category=data["true_category"],
-            true_needs=frozenset(data["true_needs"]),
-            regeneration_rounds=int(data.get("regeneration_rounds", 0)),
-        )
-
 
 @dataclass
-class PromptPairDataset:
+class PromptPairDataset(Record):
     """An ordered collection of pairs plus provenance stats."""
 
     pairs: list[PromptPair] = field(default_factory=list)
@@ -106,39 +81,10 @@ class PromptPairDataset:
             PromptPairDataset(self.pairs[cut:], self.curated, 0),
         )
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict with a stable key order, mirroring
-        :meth:`GatewayStats.as_dict`."""
-        return {
-            "pairs": [p.as_dict() for p in self.pairs],
-            "curated": self.curated,
-            "n_dropped": self.n_dropped,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PromptPairDataset":
-        """Inverse of :meth:`as_dict`: ``from_dict(d.as_dict()) == d``."""
-        return cls(
-            pairs=[PromptPair.from_dict(p) for p in data["pairs"]],
-            curated=bool(data["curated"]),
-            n_dropped=int(data["n_dropped"]),
-        )
-
     def save(self, path: str | Path) -> int:
         return dump_jsonl(self.pairs, path)
 
     @classmethod
     def load(cls, path: str | Path, curated: bool = True) -> "PromptPairDataset":
-        pairs = [
-            PromptPair(
-                prompt_uid=int(rec["prompt_uid"]),
-                prompt_text=rec["prompt_text"],
-                complement_text=rec["complement_text"],
-                category=rec["category"],
-                true_category=rec["true_category"],
-                true_needs=frozenset(rec["true_needs"]),
-                regeneration_rounds=int(rec.get("regeneration_rounds", 0)),
-            )
-            for rec in load_jsonl(path)
-        ]
+        pairs = [PromptPair.from_dict(rec) for rec in load_jsonl(path)]
         return cls(pairs=pairs, curated=curated)

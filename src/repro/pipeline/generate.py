@@ -29,6 +29,7 @@ from repro.pipeline.collect import SelectedPrompt
 from repro.pipeline.dataset import PromptPair, PromptPairDataset
 from repro.utils import textproc
 from repro.utils.rng import stable_hash
+from repro.utils.serialize import Record
 from repro.world.aspects import ASPECTS, aspect_names, parse_directives
 from repro.world.categories import CATEGORIES
 
@@ -103,7 +104,7 @@ _DIRECT_ANSWER_TEXT = (
 
 
 @dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(Record):
     """Noise and loop parameters for Algorithm 1."""
 
     spurious_rate: float = 0.38
@@ -120,15 +121,6 @@ class GenerationConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.max_rounds < 0:
             raise ConfigError(f"max_rounds must be >= 0, got {self.max_rounds}")
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict of every field, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerationConfig":
-        """Inverse of :meth:`as_dict`: ``from_dict(c.as_dict()) == c``."""
-        return cls(**data)
 
 
 class FewShotGenerator:

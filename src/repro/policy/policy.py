@@ -32,7 +32,7 @@ from repro.policy.bandit import BANDIT_ALGORITHMS, ContextualBandit
 from repro.policy.candidates import STRATEGIES, CandidateGenerator, CandidateSet
 from repro.policy.feedback import GoldenRefresh
 from repro.policy.scoring import PolicyScorer, PromptResolver
-from repro.utils.serialize import register
+from repro.utils.serialize import Record, register
 from repro.world.prompts import SyntheticPrompt
 
 __all__ = ["PolicyConfig", "AugmentationPolicy"]
@@ -42,7 +42,7 @@ ANONYMOUS_TENANT = "anonymous"
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(Record):
     """Everything configurable about an :class:`AugmentationPolicy`.
 
     ``enabled`` is the deployment switch read by
@@ -114,27 +114,6 @@ class PolicyConfig:
                 "an enabled policy requires judge_seed (the reward judge "
                 "must be seed-pinned for replay determinism)"
             )
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``PolicyConfig.from_dict(c.as_dict()) == c``."""
-        return {
-            "enabled": self.enabled,
-            "strategies": list(self.strategies),
-            "algorithm": self.algorithm,
-            "epsilon": self.epsilon,
-            "ucb_c": self.ucb_c,
-            "salt": self.salt,
-            "seed": self.seed,
-            "judge_seed": self.judge_seed,
-            "quality_gate": self.quality_gate,
-            "max_promoted_per_category": self.max_promoted_per_category,
-            "state": self.state,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PolicyConfig":
-        """Inverse of :meth:`as_dict`; unknown keys raise ``TypeError``."""
-        return cls(**data)
 
 
 register(PolicyConfig)

@@ -26,12 +26,13 @@ is replayable in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import AugmentationError, ConfigError
 from repro.utils.rng import stable_hash
+from repro.utils.serialize import Record
 
 __all__ = [
     "OutageWindow",
@@ -77,7 +78,7 @@ def augment_fault(prompt_text: str) -> AugmentationError:
 
 
 @dataclass(frozen=True)
-class OutageWindow:
+class OutageWindow(Record):
     """One model's hard outage over ``[start, end)`` on the logical clock."""
 
     model: str
@@ -93,17 +94,9 @@ class OutageWindow:
     def covers(self, model: str, tick: int) -> bool:
         return self.model == model and self.start <= tick < self.end
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``OutageWindow.from_dict(w.as_dict()) == w``."""
-        return {"model": self.model, "start": self.start, "end": self.end}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OutageWindow":
-        return cls(model=data["model"], start=int(data["start"]), end=int(data["end"]))
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record):
     """A deterministic, seedable description of injected faults.
 
     Parameters
@@ -227,39 +220,13 @@ class FaultPlan:
             return True
         return False
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``FaultPlan.from_dict(p.as_dict()) == p``.
-
-        The attached observer (if any) is runtime wiring, not
-        configuration, and is deliberately not serialized.
-        """
-        return {
-            "seed": self.seed,
-            "completion_failure_rate": self.completion_failure_rate,
-            "augment_failure_rate": self.augment_failure_rate,
-            "latency_spike_rate": self.latency_spike_rate,
-            "latency_spike_ticks": self.latency_spike_ticks,
-            "outages": [window.as_dict() for window in self.outages],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(
-            seed=int(data["seed"]),
-            completion_failure_rate=float(data["completion_failure_rate"]),
-            augment_failure_rate=float(data["augment_failure_rate"]),
-            latency_spike_rate=float(data["latency_spike_rate"]),
-            latency_spike_ticks=int(data["latency_spike_ticks"]),
-            outages=tuple(OutageWindow.from_dict(w) for w in data["outages"]),
-        )
-
 
 #: The no-op plan: injecting it anywhere changes nothing.
 NO_FAULTS = FaultPlan()
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Record):
     """Capped exponential backoff with deterministic jitter and a deadline.
 
     ``backoff_ticks(key, attempt)`` grows as ``base_backoff * 2**attempt``
@@ -303,14 +270,6 @@ class RetryPolicy:
             return base
         stretch = 1.0 + self.jitter * _uniform("backoff", str(self.seed), key, str(attempt))
         return base * stretch
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``RetryPolicy.from_dict(p.as_dict()) == p``."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetryPolicy":
-        return cls(**data)
 
 
 class CircuitBreaker:

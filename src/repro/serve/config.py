@@ -44,13 +44,13 @@ from repro.serve.engine import EngineConfig
 from repro.serve.gateway import GatewayConfig
 from repro.serve.router import FleetPlan, RouterConfig
 from repro.serve.traffic import TrafficConfig
-from repro.utils.serialize import register
+from repro.utils.serialize import Record, register
 
 __all__ = ["ServingConfig"]
 
 
 @dataclass(frozen=True)
-class ServingConfig:
+class ServingConfig(Record):
     """Every knob of the serving stack, in one place.
 
     Each section validates itself at construction; :meth:`validate` adds
@@ -102,39 +102,6 @@ class ServingConfig:
                         f"traffic section only emits {sorted(tenant_names)}"
                     )
         self.policy.validate()
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``ServingConfig.from_dict(c.as_dict()) == c``."""
-        return {
-            "router": self.router.as_dict(),
-            "gateway": self.gateway.as_dict(),
-            "engine": self.engine.as_dict(),
-            "traffic": self.traffic.as_dict(),
-            "policy": self.policy.as_dict(),
-            "fleet": self.fleet.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingConfig":
-        """Inverse of :meth:`as_dict` (lossless, JSON-safe).  ``policy``
-        and ``fleet`` are optional on the way in — pre-policy dicts load
-        as policy-off, pre-fleet dicts as a leave-alone default plan."""
-        return cls(
-            router=RouterConfig.from_dict(data["router"]),
-            gateway=GatewayConfig.from_dict(data["gateway"]),
-            engine=EngineConfig.from_dict(data["engine"]),
-            traffic=TrafficConfig.from_dict(data["traffic"]),
-            policy=(
-                PolicyConfig()
-                if data.get("policy") is None
-                else PolicyConfig.from_dict(data["policy"])
-            ),
-            fleet=(
-                FleetPlan()
-                if data.get("fleet") is None
-                else FleetPlan.from_dict(data["fleet"])
-            ),
-        )
 
 
 register(ServingConfig)

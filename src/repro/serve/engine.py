@@ -80,7 +80,7 @@ from repro.serve.router import Router
 from repro.serve.scheduler import MicroBatcher
 from repro.serve.traffic import TimedRequest
 from repro.serve.types import ServeRequest, ServeResponse
-from repro.utils.serialize import register
+from repro.utils.serialize import Record, register
 from repro.utils.stats import nearest_rank
 
 __all__ = [
@@ -129,7 +129,7 @@ class _HedgeState:
 
 
 @dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     """Everything configurable about a :class:`ServingEngine`.
 
     ``max_inflight`` overrides every model's concurrency limit (``None``
@@ -175,14 +175,6 @@ class EngineConfig:
                 f"unknown shed_policy {self.shed_policy!r}; "
                 f"expected one of {SHED_POLICIES}"
             )
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``EngineConfig.from_dict(c.as_dict()) == c``."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineConfig":
-        return cls(**data)
 
 
 register(EngineConfig)

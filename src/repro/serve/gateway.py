@@ -54,7 +54,7 @@ from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.resilience import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.serve.cache import LruCache
 from repro.serve.types import ServeRequest, ServeResponse
-from repro.utils.serialize import register
+from repro.utils.serialize import Record, register
 from repro.utils.timing import StageTimer
 
 __all__ = [
@@ -77,7 +77,7 @@ _REWARD_BUCKETS = (1.0, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0)
 
 
 @dataclass(frozen=True)
-class GatewayConfig:
+class GatewayConfig(Record):
     """Everything configurable about a :class:`PasGateway`.
 
     ``cache_size`` bounds the complement LRU (prompt → complement);
@@ -109,56 +109,6 @@ class GatewayConfig:
     breaker_recovery_ticks: int = 16
     latency_model: LatencyModel | None = None
     max_inflight: int = 1
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``GatewayConfig.from_dict(c.as_dict()) == c``."""
-        return {
-            "cache_size": self.cache_size,
-            "embed_cache_size": self.embed_cache_size,
-            "failure_rate": self.failure_rate,
-            "max_retries": self.max_retries,
-            "seed": self.seed,
-            "strict": self.strict,
-            "fault_plan": None if self.fault_plan is None else self.fault_plan.as_dict(),
-            "retry_policy": (
-                None if self.retry_policy is None else self.retry_policy.as_dict()
-            ),
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_recovery_ticks": self.breaker_recovery_ticks,
-            "latency_model": (
-                None if self.latency_model is None else self.latency_model.as_dict()
-            ),
-            "max_inflight": self.max_inflight,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GatewayConfig":
-        return cls(
-            cache_size=int(data["cache_size"]),
-            embed_cache_size=int(data["embed_cache_size"]),
-            failure_rate=float(data["failure_rate"]),
-            max_retries=int(data["max_retries"]),
-            seed=int(data["seed"]),
-            strict=bool(data["strict"]),
-            fault_plan=(
-                None
-                if data["fault_plan"] is None
-                else FaultPlan.from_dict(data["fault_plan"])
-            ),
-            retry_policy=(
-                None
-                if data["retry_policy"] is None
-                else RetryPolicy.from_dict(data["retry_policy"])
-            ),
-            breaker_threshold=int(data["breaker_threshold"]),
-            breaker_recovery_ticks=int(data["breaker_recovery_ticks"]),
-            latency_model=(
-                None
-                if data["latency_model"] is None
-                else LatencyModel.from_dict(data["latency_model"])
-            ),
-            max_inflight=int(data["max_inflight"]),
-        )
 
 
 register(GatewayConfig)

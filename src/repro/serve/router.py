@@ -101,7 +101,7 @@ from repro.serve.gateway import BatchPlan, GatewayConfig, PasGateway
 from repro.serve.traffic import TimedRequest
 from repro.serve.types import ServeRequest, ServeResponse
 from repro.utils.rng import stable_hash
-from repro.utils.serialize import register
+from repro.utils.serialize import Record, register
 
 __all__ = [
     "CACHE_SCOPES",
@@ -171,7 +171,7 @@ class SharedLruCache(LruCache):
 
 
 @dataclass(frozen=True)
-class TenantPolicy:
+class TenantPolicy(Record):
     """Admission and scheduling policy for one tenant.
 
     ``quota`` bounds requests per fixed window of ``quota_window_ticks``
@@ -207,35 +207,9 @@ class TenantPolicy:
         if self.burst < 1:
             raise ConfigError(f"burst must be >= 1, got {self.burst}")
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``TenantPolicy.from_dict(p.as_dict()) == p``."""
-        return {
-            "tenant": self.tenant,
-            "quota": self.quota,
-            "quota_window_ticks": self.quota_window_ticks,
-            "rate_tokens_per_tick": self.rate_tokens_per_tick,
-            "burst": self.burst,
-            "priority": self.priority,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantPolicy":
-        return cls(
-            tenant=data["tenant"],
-            quota=None if data["quota"] is None else int(data["quota"]),
-            quota_window_ticks=int(data["quota_window_ticks"]),
-            rate_tokens_per_tick=(
-                None
-                if data["rate_tokens_per_tick"] is None
-                else float(data["rate_tokens_per_tick"])
-            ),
-            burst=int(data["burst"]),
-            priority=None if data["priority"] is None else int(data["priority"]),
-        )
-
 
 @dataclass(frozen=True)
-class ModelPool:
+class ModelPool(Record):
     """A virtual model backed by a weighted set of real models.
 
     Requests addressed to ``name`` resolve to one member per request via
@@ -261,23 +235,9 @@ class ModelPool:
         if len(set(members)) != len(members):
             raise ConfigError(f"pool {self.name!r} lists a model twice: {members}")
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``ModelPool.from_dict(p.as_dict()) == p``."""
-        return {
-            "name": self.name,
-            "models": [[model, weight] for model, weight in self.models],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelPool":
-        return cls(
-            name=data["name"],
-            models=tuple((model, float(weight)) for model, weight in data["models"]),
-        )
-
 
 @dataclass(frozen=True)
-class HedgePolicy:
+class HedgePolicy(Record):
     """When to launch a hedged retry for an in-flight request.
 
     Exactly one trigger must be set.  ``after_ticks`` hedges a fixed
@@ -307,29 +267,9 @@ class HedgePolicy:
         if self.min_samples < 1:
             raise ConfigError(f"min_samples must be >= 1, got {self.min_samples}")
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``HedgePolicy.from_dict(p.as_dict()) == p``."""
-        return {
-            "after_ticks": self.after_ticks,
-            "percentile": self.percentile,
-            "min_samples": self.min_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HedgePolicy":
-        # Omitted keys take the dataclass defaults so hand-authored plan
-        # documents only need to spell out the trigger they set.
-        after = data.get("after_ticks")
-        percentile = data.get("percentile")
-        return cls(
-            after_ticks=None if after is None else int(after),
-            percentile=None if percentile is None else float(percentile),
-            min_samples=int(data.get("min_samples", 16)),
-        )
-
 
 @dataclass(frozen=True)
-class FairnessPolicy:
+class FairnessPolicy(Record):
     """How dispatch orders each drained batch across tenants.
 
     ``mode="priority"`` keeps the historical highest-priority-first
@@ -363,27 +303,9 @@ class FairnessPolicy:
                 f"default_weight must be > 0, got {self.default_weight}"
             )
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``FairnessPolicy.from_dict(p.as_dict()) == p``."""
-        return {
-            "mode": self.mode,
-            "weights": [[tenant, weight] for tenant, weight in self.weights],
-            "default_weight": self.default_weight,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FairnessPolicy":
-        return cls(
-            mode=data.get("mode", "priority"),
-            weights=tuple(
-                (tenant, float(w)) for tenant, w in data.get("weights", ())
-            ),
-            default_weight=float(data.get("default_weight", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
-class FleetPlan:
+class FleetPlan(Record):
     """One declarative description of the whole fleet.
 
     ``replicas`` is the target live-replica count (``None`` — leave
@@ -415,38 +337,9 @@ class FleetPlan:
         if self.spike_rate > 0 and self.spike_ticks < 1:
             raise ConfigError("spike_rate > 0 needs spike_ticks >= 1")
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``FleetPlan.from_dict(p.as_dict()) == p``."""
-        return {
-            "replicas": self.replicas,
-            "hedge": None if self.hedge is None else self.hedge.as_dict(),
-            "fairness": self.fairness.as_dict(),
-            "spike_rate": self.spike_rate,
-            "spike_ticks": self.spike_ticks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetPlan":
-        # Omitted keys take the dataclass defaults: a plan document that
-        # only says {"replicas": 4} is a valid scale-out order.
-        replicas = data.get("replicas")
-        hedge = data.get("hedge")
-        fairness = data.get("fairness")
-        return cls(
-            replicas=None if replicas is None else int(replicas),
-            hedge=None if hedge is None else HedgePolicy.from_dict(hedge),
-            fairness=(
-                FairnessPolicy()
-                if fairness is None
-                else FairnessPolicy.from_dict(fairness)
-            ),
-            spike_rate=float(data.get("spike_rate", 0.0)),
-            spike_ticks=int(data.get("spike_ticks", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class RouterConfig:
+class RouterConfig(Record):
     """Everything configurable about a :class:`Router`.
 
     ``seed`` salts the hash ring and every pool draw; ``vnodes`` is the
@@ -499,32 +392,6 @@ class RouterConfig:
                 raise ConfigError(
                     f"pool {pool.name!r} cannot contain other pools: {nested}"
                 )
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``RouterConfig.from_dict(c.as_dict()) == c``."""
-        return {
-            "n_replicas": self.n_replicas,
-            "policy": self.policy,
-            "hash_key": self.hash_key,
-            "vnodes": self.vnodes,
-            "cache_scope": self.cache_scope,
-            "seed": self.seed,
-            "tenants": [policy.as_dict() for policy in self.tenants],
-            "pools": [pool.as_dict() for pool in self.pools],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RouterConfig":
-        return cls(
-            n_replicas=int(data["n_replicas"]),
-            policy=data["policy"],
-            hash_key=data["hash_key"],
-            vnodes=int(data["vnodes"]),
-            cache_scope=data["cache_scope"],
-            seed=int(data["seed"]),
-            tenants=tuple(TenantPolicy.from_dict(t) for t in data["tenants"]),
-            pools=tuple(ModelPool.from_dict(p) for p in data["pools"]),
-        )
 
 
 for _serializable in (

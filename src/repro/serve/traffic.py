@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.serve.types import ServeRequest
 from repro.utils.rng import derive_rng
-from repro.utils.serialize import register
+from repro.utils.serialize import Record, register
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -70,7 +70,7 @@ class TimedRequest:
 
 
 @dataclass(frozen=True)
-class TenantProfile:
+class TenantProfile(Record):
     """One tenant's slice of the traffic mix.
 
     ``weight`` is its share of requests relative to the other tenants;
@@ -105,33 +105,9 @@ class TenantProfile:
                 f"deadline_ticks must be >= 1 or None, got {self.deadline_ticks}"
             )
 
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``TenantProfile.from_dict(t.as_dict()) == t``."""
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "models": [[name, weight] for name, weight in self.models],
-            "augment_rate": self.augment_rate,
-            "priority": self.priority,
-            "deadline_ticks": self.deadline_ticks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantProfile":
-        return cls(
-            name=data["name"],
-            weight=float(data["weight"]),
-            models=tuple((name, float(weight)) for name, weight in data["models"]),
-            augment_rate=float(data["augment_rate"]),
-            priority=int(data["priority"]),
-            deadline_ticks=(
-                None if data["deadline_ticks"] is None else int(data["deadline_ticks"])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class TrafficConfig:
+class TrafficConfig(Record):
     """Everything that shapes a synthetic trace (all of it seed-pure).
 
     ``mean_gap_ticks`` sets the average inter-arrival gap; the arrival
@@ -188,38 +164,6 @@ class TrafficConfig:
         names = [tenant.name for tenant in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate tenant names: {sorted(names)}")
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict: ``TrafficConfig.from_dict(c.as_dict()) == c``."""
-        return {
-            "n_requests": self.n_requests,
-            "seed": self.seed,
-            "process": self.process,
-            "mean_gap_ticks": self.mean_gap_ticks,
-            "zipf_exponent": self.zipf_exponent,
-            "burst_factor": self.burst_factor,
-            "burst_len": self.burst_len,
-            "idle_len": self.idle_len,
-            "period_ticks": self.period_ticks,
-            "amplitude": self.amplitude,
-            "tenants": [tenant.as_dict() for tenant in self.tenants],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficConfig":
-        return cls(
-            n_requests=int(data["n_requests"]),
-            seed=int(data["seed"]),
-            process=data["process"],
-            mean_gap_ticks=float(data["mean_gap_ticks"]),
-            zipf_exponent=float(data["zipf_exponent"]),
-            burst_factor=float(data["burst_factor"]),
-            burst_len=int(data["burst_len"]),
-            idle_len=int(data["idle_len"]),
-            period_ticks=int(data["period_ticks"]),
-            amplitude=float(data["amplitude"]),
-            tenants=tuple(TenantProfile.from_dict(t) for t in data["tenants"]),
-        )
 
 
 for _serializable in (TenantProfile, TrafficConfig):

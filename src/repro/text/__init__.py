@@ -2,7 +2,6 @@
 
 from repro.text.bpe import BpeTokenizer
 from repro.text.tokenizer import Tokenizer
-from repro.text.vocab import Vocabulary
 from repro.text.ngram import NgramLanguageModel
 
-__all__ = ["BpeTokenizer", "Tokenizer", "Vocabulary", "NgramLanguageModel"]
+__all__ = ["BpeTokenizer", "Tokenizer", "NgramLanguageModel"]

@@ -11,8 +11,15 @@ from typing import Any
 __all__ = ["dump_jsonl", "load_jsonl", "to_jsonable"]
 
 
+#: Exact types that are JSON values already (a numpy scalar that
+#: subclasses ``float`` still goes through ``item()``).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert dataclasses / sets / numpy scalars to JSON types."""
+    if type(obj) in _JSON_SCALARS:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.utils.serialize import Record
 from repro.world.aspects import ASPECTS, find_cues
 from repro.world.categories import CATEGORIES, Category, category_names
 
@@ -113,7 +114,7 @@ _DETAILS: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class SyntheticPrompt:
+class SyntheticPrompt(Record):
     """A user prompt with its ground-truth annotations.
 
     Downstream *systems* (PAS, baselines, simulated LLMs) may only read
@@ -134,33 +135,6 @@ class SyntheticPrompt:
     @property
     def topic_words(self) -> frozenset[str]:
         return frozenset(w for w in self.topic.lower().split() if len(w) > 3)
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict with a stable key order (for structured export)."""
-        return {
-            "uid": self.uid,
-            "text": self.text,
-            "category": self.category,
-            "needs": sorted(self.needs),
-            "topic": self.topic,
-            "is_junk": self.is_junk,
-            "dup_of": self.dup_of,
-            "hard": self.hard,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SyntheticPrompt":
-        """Inverse of :meth:`as_dict`: ``from_dict(p.as_dict()) == p``."""
-        return cls(
-            uid=int(data["uid"]),
-            text=data["text"],
-            category=data["category"],
-            needs=frozenset(data["needs"]),
-            topic=data["topic"],
-            is_junk=bool(data["is_junk"]),
-            dup_of=None if data["dup_of"] is None else int(data["dup_of"]),
-            hard=bool(data["hard"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for the PromptPairDataset container."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.pipeline.dataset import PromptPair, PromptPairDataset
@@ -82,6 +84,13 @@ class TestDataset:
         assert len(loaded) == 5
         assert loaded.pairs[0].prompt_text == ds.pairs[0].prompt_text
         assert loaded.pairs[0].true_needs == ds.pairs[0].true_needs
+
+    def test_committed_pairs_load_and_resave_byte_identically(self, tmp_path):
+        committed = Path(__file__).resolve().parents[1] / "data" / "pas_pairs.jsonl"
+        loaded = PromptPairDataset.load(committed)
+        assert len(loaded) == 815
+        assert loaded.save(tmp_path / "pairs.jsonl") == 815
+        assert (tmp_path / "pairs.jsonl").read_bytes() == committed.read_bytes()
 
 
 class TestSerialization:

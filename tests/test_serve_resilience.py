@@ -478,7 +478,7 @@ class TestMemoParity:
         corpus = [factory.make_prompt(cue_rate=0.9) for _ in range(12)]
         trace = TrafficGenerator(
             [p.text for p in corpus],
-            TrafficConfig(n_requests=120, seed=seed, mean_gap_ticks=0.5),
+            TrafficConfig(n_requests=120, seed=seed, mean_gap_ticks=4.0),
         ).trace()
 
         def run(tag):
