@@ -14,18 +14,34 @@ Only the features the pipeline needs are implemented (add + k-NN search);
 there is no deletion.
 
 Storage is one contiguous, preallocated ``(capacity, dim)`` array grown
-geometrically, with per-row norms cached at insert time.  Every hop of
-every graph routine computes its distances with a single gather plus one
-row-wise dot product (:meth:`HnswIndex._distances_to`) instead of a
-per-neighbour Python loop — the same kernel serves ``add``, ``search``,
-``search_batch``, ``knn_graph`` and the exact scans.  Each pair's distance
-depends only on the two rows: not on which one is the query, nor on the
-other ids gathered with it.  That pairwise property is what makes the
-batched paths, the scans and the beam agree bit for bit, and it is what
-lets the neighbour heuristic compute one distance row per *kept*
-neighbour instead of one per examined candidate.  It holds for
-C-contiguous queries only, so every public entry point makes its query
-contiguous once.
+geometrically, with per-row norms cached at insert time.  Every exact
+distance comes from one kernel, a single gather plus one row-wise dot
+product (:meth:`HnswIndex._distances_to`), instead of a per-neighbour
+Python loop.  Each pair's distance depends only on the two rows: not on
+which one is the query, nor on the other ids gathered with it.  That
+pairwise property is what makes the batched paths, the scans and the beam
+agree bit for bit, and it is what lets the neighbour heuristic compute one
+distance row per *kept* neighbour instead of one per examined candidate.
+It holds for C-contiguous queries only, so every public entry point makes
+its query contiguous once.
+
+Distances between two *stored* rows are read from a table.  While its
+capacity is at most ``_PAIR_LIMIT`` (512) rows, an index keeps a
+``(capacity, capacity)`` float64 table, 2 MiB at the limit.  Storing row
+``i`` fills row and column ``i`` with one kernel call over rows ``0..i``,
+self-distance included.  From then on, every distance whose query is a
+stored row is a table read (:meth:`HnswIndex._exact_kernel`,
+:meth:`HnswIndex._stored_distances`): the float traversal in ``add``, the
+kept-neighbour rows of the heuristic, the overflow row in ``_link`` and
+every search in ``knn_graph``.  The bits
+cannot differ from the kernel's: the table holds the kernel's own values,
+and by the pairwise property each is the value any other call would
+compute for that pair.  At dedup sizes a call's fixed cost, not its
+arithmetic, sets the price: one 250-row build plus its k-NN graph went
+from 31,308 kernel calls to 250.  Reserving past the limit (as
+``add_batch`` does for a large batch) drops the table for good, and the
+index runs the table-free path, which the tests use as the oracle.
+External queries, the scans and the int8 code kernel never read the table.
 
 Two result surfaces share one search core: the tuple API (``search`` /
 ``search_batch``, lists of ``(key, distance)`` pairs) and the array API
@@ -60,6 +76,17 @@ _INITIAL_CAPACITY = 64
 #: Row-chunk size for the offline router-assignment matmul, bounding the
 #: (chunk x n_centroids) score block's memory whatever the index size.
 _ROUTER_ASSIGN_CHUNK = 8192
+
+#: Largest capacity at which an index keeps its stored-pair distance table,
+#: a ``(capacity, capacity)`` float64 array: 2 MiB at 512 rows.  Reserving
+#: past it drops the table for good (see :meth:`HnswIndex._reserve`).
+_PAIR_LIMIT = 512
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN/inf input once per call: one would poison every distance."""
+    if not np.isfinite(values).all():
+        raise IndexError_(f"{what} must be finite")
 
 
 class HnswIndex:
@@ -130,6 +157,9 @@ class HnswIndex:
         self._entry: int | None = None  # node id of the entry point
         self._keys_seen: set[int] = set()
         self._min_norm = math.inf  # smallest stored norm, for the fast path
+        # Stored-pair distances: _pairs[i, j] == dist(row i, row j) for
+        # i, j < count, filled by add; None once capacity passed _PAIR_LIMIT.
+        self._pairs: np.ndarray | None = np.zeros((0, 0), dtype=np.float64)
         # Packed layer-0 adjacency, rebuilt lazily for read-only searches.
         self._graph_version = 0
         self._packed_version = -1
@@ -167,7 +197,12 @@ class HnswIndex:
         return view
 
     def _reserve(self, n: int) -> None:
-        """Grow the vector table geometrically to hold ``n`` rows."""
+        """Grow the vector table geometrically to hold ``n`` rows.
+
+        The pair table grows with it while the new capacity is at most
+        ``_PAIR_LIMIT``; past that it is dropped, and every stored-row
+        distance goes back to :meth:`_distances_to`.
+        """
         capacity = self._vectors.shape[0]
         if n <= capacity:
             return
@@ -190,6 +225,15 @@ class HnswIndex:
             scales[: self._count] = self._code_scales[: self._count]
             self._codes = codes
             self._code_scales = scales
+        if self._pairs is not None:
+            if new_capacity <= _PAIR_LIMIT:
+                pairs = np.zeros((new_capacity, new_capacity), dtype=np.float64)
+                pairs[: self._count, : self._count] = self._pairs[
+                    : self._count, : self._count
+                ]
+                self._pairs = pairs
+            else:
+                self._pairs = None
 
     def _distances_to(
         self, query: np.ndarray, ids: Sequence[int], qnorm: float
@@ -258,16 +302,37 @@ class HnswIndex:
         near_zero = denom < 1e-12
         return np.where(near_zero, 1.0, 1.0 - dots / np.where(near_zero, 1.0, denom))
 
-    def _query_kernel(self, query: np.ndarray, qnorm: float):
-        """Distance kernel bound to one query: ``kernel(ids) -> distances``.
+    def _exact_kernel(self, query: np.ndarray, qnorm: float, node: int | None = None):
+        """Exact distances from one query: ``kernel(ids) -> distances``.
 
-        Float mode binds the exact gather+vecdot kernel; int8 mode quantises
-        the query once and binds the code kernel.  Every traversal routine
-        (greedy descent, beam search on any layer) goes through the kernel,
-        so the two modes share identical control flow.
+        When the query is stored row ``node`` and the index keeps its pair
+        table, the kernel reads row ``node`` of it; otherwise it binds
+        :meth:`_distances_to`.  The bits are the same either way: the table
+        holds that kernel's own values, and each one depends on its pair
+        alone.
+        """
+        if node is not None and self._pairs is not None:
+            return self._pairs[node].__getitem__
+        return lambda ids: self._distances_to(query, ids, qnorm)
+
+    def _stored_distances(self, node: int, ids) -> np.ndarray:
+        """Exact distances from stored row ``node`` to stored rows ``ids``:
+        :meth:`_exact_kernel`'s choice, without binding a kernel."""
+        if self._pairs is not None:
+            return self._pairs[node, ids]
+        return self._distances_to(self._vectors[node], ids, self._norms[node])
+
+    def _query_kernel(self, query: np.ndarray, qnorm: float, node: int | None = None):
+        """Traversal kernel bound to one query: ``kernel(ids) -> distances``.
+
+        Float mode binds the exact kernel (the pair table's row when the
+        query is stored row ``node``); int8 mode quantises the query once
+        and binds the code kernel.  Every traversal routine (greedy descent,
+        beam search on any layer) goes through the kernel, so the modes
+        share identical control flow.
         """
         if not self._quantized:
-            return lambda ids: self._distances_to(query, ids, qnorm)
+            return self._exact_kernel(query, qnorm, node)
         codes, qscale = self._quantize(query)
         qcodes = codes.astype(np.float64)
         qsq = float(query @ query) if self.metric == "l2" else 0.0
@@ -303,31 +368,28 @@ class HnswIndex:
     ) -> list[tuple[float, int]]:
         """Beam search on one layer; returns (distance, node_id), unsorted."""
         visited = set(entry_ids)
-        entry_dists = kernel(entry_ids)
         # candidates: min-heap by distance; results: max-heap via negation
         candidates: list[tuple[float, int]] = []
         results: list[tuple[float, int]] = []
-        for i, nid in enumerate(entry_ids):
-            d = float(entry_dists[i])
-            heapq.heappush(candidates, (d, nid))
-            heapq.heappush(results, (-d, nid))
+        push, pop = heapq.heappush, heapq.heappop
+        for d, nid in zip(kernel(entry_ids).tolist(), entry_ids):
+            push(candidates, (d, nid))
+            push(results, (-d, nid))
+        neighbors = self._neighbors
         while candidates:
-            d_cand, nid = heapq.heappop(candidates)
-            d_worst = -results[0][0]
-            if d_cand > d_worst and len(results) >= ef:
+            d_cand, nid = pop(candidates)
+            if d_cand > -results[0][0] and len(results) >= ef:
                 break
-            fresh = [nb for nb in self._neighbors[nid][layer] if nb not in visited]
+            fresh = [nb for nb in neighbors[nid][layer] if nb not in visited]
             if not fresh:
                 continue
             visited.update(fresh)
-            dists = kernel(fresh)
-            for i, nb in enumerate(fresh):
-                d = float(dists[i])
+            for d, nb in zip(kernel(fresh).tolist(), fresh):
                 if len(results) < ef or d < -results[0][0]:
-                    heapq.heappush(candidates, (d, nb))
-                    heapq.heappush(results, (-d, nb))
+                    push(candidates, (d, nb))
+                    push(results, (-d, nb))
                     if len(results) > ef:
-                        heapq.heappop(results)
+                        pop(results)
         return [(-nd, nid) for nd, nid in results]
 
     def _ensure_packed(self) -> None:
@@ -427,8 +489,7 @@ class HnswIndex:
             head, rest = int(alive[0]), alive[1:]
             kept.append(head)
             if rest.size and len(kept) < m:
-                nid = ids[head]
-                row = self._distances_to(self._vectors[nid], ids[rest], self._norms[nid])
+                row = self._stored_distances(ids[head], ids[rest])
                 rest = rest[~(row < dists[rest])]
             alive = rest
         if len(kept) < m:  # backfill with the nearest rejected candidates
@@ -443,9 +504,7 @@ class HnswIndex:
             return
         nbrs.append(target)
         if len(nbrs) > cap:
-            dists = self._distances_to(
-                self._vectors[source], nbrs, self._norms[source]
-            )
+            dists = self._stored_distances(source, nbrs)
             cands = list(zip(dists.tolist(), nbrs))
             self._neighbors[source][layer] = self._select_neighbors(cands, cap)
 
@@ -454,15 +513,24 @@ class HnswIndex:
     # ------------------------------------------------------------------ #
 
     def add(self, vector: np.ndarray, key: int) -> None:
-        """Insert a vector under an application-level integer key."""
+        """Insert a finite vector under an application-level integer key."""
         vec = np.asarray(vector, dtype=np.float64).reshape(-1)
         if vec.shape[0] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {vec.shape[0]}")
+        _require_finite(vec, "vector")
         key = int(key)
         if key in self._keys_seen:
             raise IndexError_(f"duplicate key {key}")
-        self._keys_seen.add(key)
+        self._insert(vec, key)
 
+    def _insert(self, vec: np.ndarray, key: int) -> None:
+        """Store and link one validated row.
+
+        While the index keeps its pair table, one kernel call over rows
+        ``0..i`` fills row and column ``i`` (self-distance included), and
+        every later distance whose query is a stored row reads the table.
+        """
+        self._keys_seen.add(key)
         level = self._draw_level()
         node_id = self._count
         self._reserve(node_id + 1)
@@ -480,6 +548,10 @@ class HnswIndex:
         self._neighbors.append([[] for _ in range(level + 1)])
         stored = self._vectors[node_id]
         qnorm = self._norms[node_id] if self.metric == "cosine" else 0.0
+        if self._pairs is not None:
+            row = self._distances_to(stored, np.arange(node_id + 1), qnorm)
+            self._pairs[node_id, : node_id + 1] = row
+            self._pairs[: node_id + 1, node_id] = row
 
         if self._entry is None:
             self._entry = node_id
@@ -487,7 +559,7 @@ class HnswIndex:
 
         entry = self._entry
         top = len(self._neighbors[entry]) - 1
-        kernel = self._query_kernel(stored, qnorm)
+        kernel = self._query_kernel(stored, qnorm, node_id)
 
         # 1. greedy descent through layers above the new node's level
         curr = entry
@@ -514,16 +586,17 @@ class HnswIndex:
     ) -> None:
         """Insert many vectors at once (keys default to ``0..n-1``).
 
-        Validates shapes *and keys* once, up front, before any insertion —
-        a rejected batch leaves the index untouched instead of stranding a
-        prefix of it inserted.  Insertion order (and therefore the graph)
-        is identical to calling :meth:`add` per row.
+        Validates shapes, finiteness *and keys* once, up front, before any
+        insertion — a rejected batch leaves the index untouched instead of
+        stranding a prefix of it inserted.  Insertion order (and therefore
+        the graph) is identical to calling :meth:`add` per row.
         """
         matrix = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if matrix.shape[0] == 0:
             return
         if matrix.shape[1] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {matrix.shape[1]}")
+        _require_finite(matrix, "vectors")
         key_list = list(range(matrix.shape[0])) if keys is None else [int(k) for k in keys]
         if len(key_list) != matrix.shape[0]:
             raise IndexError_(
@@ -536,10 +609,15 @@ class HnswIndex:
             batch_seen.add(key)
         self._reserve(self._count + matrix.shape[0])
         for row, key in zip(matrix, key_list):
-            self.add(row, key)
+            self._insert(row, key)
 
     def _search_one_raw(
-        self, query: np.ndarray, qnorm: float, k: int, ef: int | None
+        self,
+        query: np.ndarray,
+        qnorm: float,
+        k: int,
+        ef: int | None,
+        node: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Array-native search core: ``(node_ids, distances)``, nearest first.
 
@@ -548,12 +626,13 @@ class HnswIndex:
         id, i.e. insertion order.  In int8 mode the beam runs on the code
         kernel and the surviving candidate set is re-ranked here with the
         exact float kernel before the top-k cut, so returned distances are
-        always exact.
+        always exact.  ``node`` names the stored row that ``query`` is, if
+        any, so its exact distances come from the pair table.
         """
         assert self._entry is not None
         self._ensure_packed()
         width = max(ef if ef is not None else self.ef_search, k)
-        kernel = self._query_kernel(query, qnorm)
+        kernel = self._query_kernel(query, qnorm, node)
         curr = self._entry
         top = len(self._neighbors[curr]) - 1
         if top > 0:
@@ -563,7 +642,7 @@ class HnswIndex:
         found = self._search_layer0(kernel, [curr], width)
         ids = np.fromiter((nid for _, nid in found), dtype=np.intp, count=len(found))
         if self._quantized:
-            dists = self._distances_to(query, ids, qnorm)
+            dists = self._exact_kernel(query, qnorm, node)(ids)
         else:
             dists = np.fromiter(
                 (d for d, _ in found), dtype=np.float64, count=len(found)
@@ -786,10 +865,15 @@ class HnswIndex:
         return out_ids, out_dists
 
     def _search_one(
-        self, query: np.ndarray, qnorm: float, k: int, ef: int | None
+        self,
+        query: np.ndarray,
+        qnorm: float,
+        k: int,
+        ef: int | None,
+        node: int | None = None,
     ) -> list[tuple[int, float]]:
         """Tuple view over :meth:`_search_one_raw`."""
-        ids, dists = self._search_one_raw(query, qnorm, k, ef)
+        ids, dists = self._search_one_raw(query, qnorm, k, ef, node)
         return list(zip(self._key_arr[ids].tolist(), dists.tolist()))
 
     def search(
@@ -798,11 +882,12 @@ class HnswIndex:
         """Return up to ``k`` ``(key, distance)`` pairs, nearest first."""
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")
-        if self._entry is None:
-            return []
         query = np.ascontiguousarray(query, dtype=np.float64).reshape(-1)
         if query.shape[0] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {query.shape[0]}")
+        _require_finite(query, "query")
+        if self._entry is None:
+            return []
         return self._search_one(query, self._query_norm(query), k, ef)
 
     def search_batch(
@@ -825,6 +910,7 @@ class HnswIndex:
             raise IndexError_(f"queries must be 2-D, got shape {matrix.shape}")
         if matrix.shape[1] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {matrix.shape[1]}")
+        _require_finite(matrix, "queries")
         if self._entry is None:
             return [[] for _ in range(matrix.shape[0])]
         return [
@@ -855,6 +941,7 @@ class HnswIndex:
             raise IndexError_(f"queries must be 2-D, got shape {matrix.shape}")
         if matrix.shape[1] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {matrix.shape[1]}")
+        _require_finite(matrix, "queries")
         n_queries = matrix.shape[0]
         keys = np.full((n_queries, k), -1, dtype=np.int64)
         dists = np.full((n_queries, k), np.inf, dtype=np.float64)
@@ -869,14 +956,17 @@ class HnswIndex:
     def knn_graph(self, k: int, ef: int | None = None) -> dict[int, list[tuple[int, float]]]:
         """k-NN lists for every indexed element (self-match excluded).
 
-        Queries the stored rows directly (no copies, cached norms), so the
-        whole bulk pass rides the vectorized search path.
+        Queries the stored rows directly (no copies, cached norms), so
+        every exact distance of the bulk pass is a pair-table read while
+        the index keeps one.
         """
+        if k < 1:
+            raise IndexError_(f"k must be >= 1, got {k}")
         out: dict[int, list[tuple[int, float]]] = {}
         for nid in range(self._count):
             query = self._vectors[nid]
             qnorm = self._norms[nid] if self.metric == "cosine" else 0.0
-            hits = self._search_one(query, qnorm, k + 1, ef)
+            hits = self._search_one(query, qnorm, k + 1, ef, nid)
             key = self._keys[nid]
             out[key] = [(other, d) for other, d in hits if other != key][:k]
         return out

@@ -8,7 +8,11 @@ round-robin across K independent ``HnswIndex`` shards, so
 * **build** inserts into K graphs of ``n / K`` nodes each — cheaper even
   serially, because insertion cost grows with graph size — and runs the
   per-shard builds in a thread pool (numpy releases the GIL inside the
-  gather+vecdot distance kernel);
+  gather+vecdot distance kernel).  A shard of at most 512 rows reads its
+  stored-pair distances from a table instead (see
+  :mod:`repro.ann.hnsw`), so its build makes one kernel call per insert
+  and holds the GIL for more of its time: small shards build faster
+  serially, and their threads overlap less;
 * **search** fans each query out to every shard and merges the per-shard
   top-k answers in one vectorised pass.
 
@@ -67,7 +71,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.ann.hnsw import HnswIndex
+from repro.ann.hnsw import HnswIndex, _require_finite
 from repro.errors import IndexError_
 from repro.obs import NULL_OBS, Observability
 
@@ -356,9 +360,17 @@ class ShardedHnswIndex:
     # ------------------------------------------------------------------ #
 
     def add(self, vector: np.ndarray, key: int) -> None:
-        """Insert one vector; element ``i`` lands on shard ``i % n_shards``."""
+        """Insert one vector; element ``i`` lands on shard ``i % n_shards``.
+
+        The vector is validated before the key is taken, so a rejected
+        vector leaves its key free.
+        """
+        vec = np.asarray(vector, dtype=np.float64).reshape(-1)
+        if vec.shape[0] != self.dim:
+            raise IndexError_(f"expected dim {self.dim}, got {vec.shape[0]}")
+        _require_finite(vec, "vector")
         key = self._check_key(key)
-        self._shards[self._count % self.n_shards].add(vector, key)
+        self._shards[self._count % self.n_shards].add(vec, key)
         self._count += 1
 
     def add_batch(
@@ -369,11 +381,11 @@ class ShardedHnswIndex:
     ) -> None:
         """Insert many vectors, building every shard's slice concurrently.
 
-        The whole batch is validated — shapes *and* keys, including
-        duplicates within the batch — before any shard is touched, so a
-        rejected batch leaves the index byte-identical.  Round-robin
-        assignment continues from the current element count, so the shard
-        contents are identical to calling :meth:`add` per row; with
+        The whole batch is validated — shapes, finiteness *and* keys,
+        including duplicates within the batch — before any shard is
+        touched, so a rejected batch leaves the index byte-identical.
+        Round-robin assignment continues from the current element count, so
+        the shard contents are identical to calling :meth:`add` per row; with
         ``parallel=True`` the per-shard ``add_batch`` calls run on the
         index's thread pool (each shard is an independent graph, so the
         result does not depend on scheduling).
@@ -383,6 +395,7 @@ class ShardedHnswIndex:
             return
         if matrix.shape[1] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {matrix.shape[1]}")
+        _require_finite(matrix, "vectors")
         key_list = (
             list(range(self._count, self._count + matrix.shape[0]))
             if keys is None
@@ -427,6 +440,7 @@ class ShardedHnswIndex:
         query = np.ascontiguousarray(query, dtype=np.float64).reshape(-1)
         if query.shape[0] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {query.shape[0]}")
+        _require_finite(query, "query")
         if self._count == 0:
             return []
         with self.obs.tracer.span(
@@ -499,6 +513,7 @@ class ShardedHnswIndex:
             raise IndexError_(f"queries must be 2-D, got shape {matrix.shape}")
         if matrix.shape[1] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {matrix.shape[1]}")
+        _require_finite(matrix, "queries")
         if self._count == 0:
             return None, None, int(matrix.shape[0])
         with self.obs.tracer.span(

@@ -123,6 +123,8 @@ def deduplicate(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if k_neighbors < 1:
+        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
     if keep_per_group < 1:
         raise ValueError(f"keep_per_group must be >= 1, got {keep_per_group}")
     if n_shards < 1:

@@ -59,6 +59,10 @@ class CollectionConfig(Record):
             raise ConfigError(
                 f"quality_threshold must be in [0, 1]: {self.quality_threshold}"
             )
+        if self.dedup_neighbors < 1:
+            raise ConfigError(f"dedup_neighbors must be >= 1: {self.dedup_neighbors}")
+        if self.keep_per_group < 1:
+            raise ConfigError(f"keep_per_group must be >= 1: {self.keep_per_group}")
         if self.target_size is not None and self.target_size < 1:
             raise ConfigError(f"target_size must be >= 1: {self.target_size}")
         if self.dedup_shards < 1:

@@ -145,6 +145,65 @@ class TestKnnGraph:
             index.add(p, key=i)
         assert set(index.knn_graph(3)) == set(range(25))
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_k_must_be_positive(self, k):
+        index = HnswIndex(dim=4, seed=0)
+        index.add_batch(_random_points(25, 4))
+        with pytest.raises(IndexError_):
+            index.knn_graph(k)
+
+
+class TestNonFinite:
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def _index():
+        index = HnswIndex(dim=4, seed=0)
+        index.add_batch(_random_points(10, 4))
+        return index
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_add_rejects_non_finite_vector(self, bad):
+        index = self._index()
+        vec = np.ones(4)
+        vec[2] = bad
+        with pytest.raises(IndexError_, match="finite"):
+            index.add(vec, key=99)
+        assert len(index) == 10
+        index.add(np.ones(4), key=99)  # the key was not taken
+        assert len(index) == 11
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_add_batch_rejects_batch_untouched(self, bad):
+        index = self._index()
+        before = index.vectors.copy()
+        rows = _random_points(5, 4, seed=1)
+        rows[3, 0] = bad
+        with pytest.raises(IndexError_, match="finite"):
+            index.add_batch(rows, keys=range(10, 15))
+        assert len(index) == 10
+        assert index.vectors.tobytes() == before.tobytes()
+        index.add_batch(np.nan_to_num(rows, posinf=0.0, neginf=0.0), keys=range(10, 15))
+        assert len(index) == 15
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_searches_reject_non_finite_query(self, bad):
+        index = self._index()
+        query = np.ones(4)
+        query[0] = bad
+        queries = np.ones((3, 4))
+        queries[1, 1] = bad
+        with pytest.raises(IndexError_, match="finite"):
+            index.search(query, 3)
+        with pytest.raises(IndexError_, match="finite"):
+            index.search_batch(queries, 3)
+        with pytest.raises(IndexError_, match="finite"):
+            index.search_batch_arrays(queries, 3)
+
+    def test_empty_index_still_rejects_non_finite_query(self):
+        with pytest.raises(IndexError_, match="finite"):
+            HnswIndex(dim=2).search(np.array([np.nan, 0.0]), 1)
+
 
 class TestDeterminism:
     def test_same_seed_same_results(self):

@@ -98,6 +98,41 @@ class TestRejectedBatchAtomicity:
             index.add_batch(_data(3, 8, seed=1), [100, 101, 100])
         assert _snapshot(index) == before
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_rejected_upfront(self, index, bad):
+        before = _snapshot(index)
+        rows = _data(6, 8, seed=1)
+        rows[4, 2] = bad  # lands on a later shard than the first rows
+        with pytest.raises(IndexError_, match="finite"):
+            index.add_batch(rows, range(100, 106))
+        assert _snapshot(index) == before
+        index.add_batch(_data(6, 8, seed=1), range(100, 106))  # keys stay free
+        assert len(index) == 16
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_add_leaves_key_free(self, index, bad):
+        before = _snapshot(index)
+        vec = np.ones(8)
+        vec[0] = bad
+        with pytest.raises(IndexError_, match="finite"):
+            index.add(vec, key=100)
+        with pytest.raises(IndexError_):
+            index.add(np.ones(3), key=100)  # wrong dim
+        assert _snapshot(index) == before
+        index.add(np.ones(8), key=100)
+        assert len(index) == 11
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_queries_rejected(self, index, bad):
+        query = np.ones(8)
+        query[3] = bad
+        with pytest.raises(IndexError_, match="finite"):
+            index.search(query, 3)
+        with pytest.raises(IndexError_, match="finite"):
+            index.search_batch(np.stack([np.ones(8), query]), 3)
+        with pytest.raises(IndexError_, match="finite"):
+            index.search_batch_arrays(np.stack([np.ones(8), query]), 3)
+
     def test_monolithic_add_batch_is_atomic_too(self):
         mono = HnswIndex(dim=8, seed=0)
         mono.add_batch(_data(5, 8), range(5))

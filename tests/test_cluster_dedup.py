@@ -98,6 +98,15 @@ class TestDeduplicate:
         with pytest.raises(ValueError):
             deduplicate(np.ones((2, 2)), keep_per_group=0)
 
+    @pytest.mark.parametrize("k_neighbors", [0, -2])
+    @pytest.mark.parametrize("backend", ["hnsw", "sharded"])
+    def test_invalid_k_neighbors(self, k_neighbors, backend):
+        # Rows with five exact copies: k_neighbors=0 used to keep every row,
+        # and a negative count sliced the neighbour lists from the end.
+        matrix = np.concatenate([_clusters(), np.repeat(_clusters()[:1], 5, axis=0)])
+        with pytest.raises(ValueError, match="k_neighbors"):
+            deduplicate(matrix, k_neighbors=k_neighbors, backend=backend)
+
     def test_deterministic(self):
         matrix = _clusters(seed=9)
         a = deduplicate(matrix, seed=4)

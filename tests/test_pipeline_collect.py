@@ -23,6 +23,14 @@ class TestCollectionConfig:
         with pytest.raises(ConfigError):
             CollectionConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("field", ["dedup_neighbors", "keep_per_group"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_dedup_counts_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CollectionConfig(**{field: value}).validate()
+        with pytest.raises(ConfigError, match=field):
+            PromptCollector(config=CollectionConfig(**{field: value}))
+
 
 class TestCollect:
     def test_empty_corpus(self):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ann.bruteforce import BruteForceIndex
+from repro.ann import hnsw as hnsw_module
 from repro.ann.hnsw import HnswIndex
 from repro.ann.sharded import ShardedHnswIndex
 from repro.classify.model import CategoryClassifier
@@ -380,6 +381,51 @@ class TestDistanceKernelProperties:
             index.search_batch_arrays(contiguous, 10),
         ):
             assert got.tobytes() == want.tobytes()
+
+
+class TestPairTableProperties:
+    """The pair table changes no bits: an index that reads stored-row
+    distances from its table builds the same graph and answers the same
+    k-NN lists and searches as one that never keeps a table
+    (``_PAIR_LIMIT`` patched to 0) and as one that drops its table
+    mid-build (a capacity past a small limit)."""
+
+    @staticmethod
+    def _build(matrix, metric, quantization, m, efc, pair_limit, capacity):
+        with mock.patch.object(hnsw_module, "_PAIR_LIMIT", pair_limit), \
+                mock.patch.object(hnsw_module, "_INITIAL_CAPACITY", capacity):
+            index = HnswIndex(
+                dim=matrix.shape[1], m=m, ef_construction=efc, metric=metric,
+                quantization=quantization, seed=0,
+            )
+            for key, row in enumerate(matrix):
+                index.add(row, key)
+        return index
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    @pytest.mark.parametrize("quantization", ["none", "int8"])
+    @given(matrix=_rows_with_copies(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_table_matches_table_free_index(self, metric, quantization, matrix, data):
+        m = data.draw(st.integers(min_value=2, max_value=4))
+        efc = data.draw(st.integers(min_value=1, max_value=8))
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        n = matrix.shape[0]
+        args = (matrix, metric, quantization, m, efc)
+        table = self._build(*args, pair_limit=hnsw_module._PAIR_LIMIT, capacity=64)
+        free = self._build(*args, pair_limit=0, capacity=64)
+        # Capacity 2 -> 4 -> 8 ...: past 4 rows the table is dropped.
+        dropped = self._build(*args, pair_limit=4, capacity=2)
+        assert table._pairs is not None and free._pairs is None
+        assert (dropped._pairs is None) == (n > 4)
+        want_graph = repr(free.knn_graph(k))
+        want = [arr.tobytes() for arr in free.search_batch_arrays(matrix, k)]
+        for index in (table, dropped):
+            assert index._entry == free._entry
+            assert index._neighbors == free._neighbors
+            assert repr(index.knn_graph(k)) == want_graph
+            got = [arr.tobytes() for arr in index.search_batch_arrays(matrix, k)]
+            assert got == want
 
 
 class TestStatsProperties:
