@@ -6,6 +6,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.ann.hnsw import _require_finite
 from repro.errors import IndexError_
 
 __all__ = ["BruteForceIndex"]
@@ -42,27 +43,34 @@ class BruteForceIndex:
         vec = np.asarray(vector, dtype=np.float64).reshape(-1)
         if vec.shape[0] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {vec.shape[0]}")
+        _require_finite(vec, "vector")
+        self._append(vec, int(key))
+
+    def _append(self, vec: np.ndarray, key: int) -> None:
         self._vectors.append(vec)
-        self._keys.append(int(key))
+        self._keys.append(key)
         self._matrix = None
         self._row_norms = None
 
     def add_batch(
         self, vectors: np.ndarray, keys: Iterable[int] | None = None
     ) -> None:
-        """Insert many vectors at once (keys default to ``0..n-1``)."""
+        """Insert many vectors at once (keys default to ``0..n-1``).
+
+        The batch is validated whole before any row is stored."""
         matrix = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if matrix.shape[0] == 0:
             return
         if matrix.shape[1] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {matrix.shape[1]}")
+        _require_finite(matrix, "vectors")
         key_list = list(range(matrix.shape[0])) if keys is None else [int(k) for k in keys]
         if len(key_list) != matrix.shape[0]:
             raise IndexError_(
                 f"got {matrix.shape[0]} vectors but {len(key_list)} keys"
             )
         for row, key in zip(matrix, key_list):
-            self.add(row, key)
+            self._append(row, key)
 
     def _ensure_matrix(self) -> np.ndarray:
         if self._matrix is None:
@@ -83,11 +91,15 @@ class BruteForceIndex:
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[int, float]]:
         """Return up to ``k`` ``(key, distance)`` pairs, nearest first."""
-        if not self._keys:
-            return []
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         if query.shape[0] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {query.shape[0]}")
+        _require_finite(query, "query")
+        if not self._keys:
+            return []
+        return self._search_row(query, k)
+
+    def _search_row(self, query: np.ndarray, k: int) -> list[tuple[int, float]]:
         dists = self._distances(query)
         k = min(k, len(self._keys))
         order = np.argsort(dists, kind="stable")[:k]
@@ -99,7 +111,8 @@ class BruteForceIndex:
         """k-NN lists for a ``(n, dim)`` query matrix, one per row.
 
         Result-identical to ``[self.search(q, k) for q in queries]`` (each
-        row runs through the same per-query kernel).
+        row runs through the same per-query kernel), with the batch
+        validated once.
         """
         matrix = np.asarray(queries, dtype=np.float64)
         if matrix.size == 0 and matrix.ndim <= 2:
@@ -109,4 +122,7 @@ class BruteForceIndex:
             raise IndexError_(f"queries must be 2-D, got shape {matrix.shape}")
         if matrix.shape[1] != self.dim:
             raise IndexError_(f"expected dim {self.dim}, got {matrix.shape[1]}")
-        return [self.search(row, k) for row in matrix]
+        _require_finite(matrix, "queries")
+        if not self._keys:
+            return [[] for _ in range(matrix.shape[0])]
+        return [self._search_row(row, k) for row in matrix]

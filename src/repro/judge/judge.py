@@ -52,6 +52,12 @@ class JudgeConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("noise_sigma", "length_bias", "tie_margin", "position_bias"):
+            # NaN passes the sign check below, and a NaN or infinite
+            # parameter turns every grade or verdict into NaN, 0.0 or a tie.
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if (
             self.noise_sigma < 0
             or self.length_bias < 0

@@ -32,13 +32,22 @@ from repro.resilience import FaultPlan, RetryPolicy, require_finite
 from repro.text.tokenizer import Tokenizer
 from repro.utils.serialize import Record
 
-__all__ = ["Usage", "TransientApiError", "LatencyModel", "DEFAULT_LATENCY", "ChatClient"]
+__all__ = [
+    "Usage",
+    "TransientApiError",
+    "LatencyModel",
+    "DEFAULT_LATENCY",
+    "ChatClient",
+    "CompletionMemo",
+]
 
-#: Most distinct ``(prompt, supplement)`` pairs one client memoises, per
-#: memo (completions and latency ticks).  Past it, a new pair is computed
-#: on every call and not stored.  An entry keeps its response text alive:
-#: both memos full hold about 4 MB (940 B per pair at 650-character
-#: responses), plus the prompt and supplement strings if nothing else does.
+#: Most distinct ``(prompt, supplement)`` pairs one :class:`CompletionMemo`
+#: holds, per table (completions and latency ticks).  Past it, a new pair
+#: is computed on every call and not stored.  The bound is per memo, so a
+#: fleet whose replicas share one memo per model holds one set of entries,
+#: not one per replica.  An entry keeps its response text alive: both
+#: tables full hold about 4 MB (940 B per pair at 650-character responses),
+#: plus the prompt and supplement strings if nothing else does.
 _MEMO_LIMIT = 1 << 12
 
 
@@ -117,6 +126,28 @@ class Usage:
         return self.prompt_tokens + self.completion_tokens
 
 
+class CompletionMemo:
+    """The pure results of one target model's completions.
+
+    ``completions`` maps a ``(prompt, supplement)`` pair to its response
+    text with the prompt and completion token counts; ``latencies`` maps
+    it to its latency ticks before any fault-plan spike.  Each is a pure
+    function of the pair once the engine (model and seed), the latency
+    model and the tokenizer are fixed, so clients that agree on those may
+    share one memo: a :class:`~repro.serve.router.Router` hands one memo
+    per target model to every replica it builds from its one
+    :class:`~repro.serve.gateway.GatewayConfig`.  A client built without
+    one owns a private memo.  Each table holds at most ``_MEMO_LIMIT``
+    pairs.
+    """
+
+    __slots__ = ("completions", "latencies")
+
+    def __init__(self) -> None:
+        self.completions: dict[tuple[str, str | None], tuple[str, int, int]] = {}
+        self.latencies: dict[tuple[str, str | None], int] = {}
+
+
 @dataclass
 class ChatClient:
     """Chat-completions client with retries and budget enforcement.
@@ -160,15 +191,19 @@ class ChatClient:
         ``retry[n]`` child per failed attempt, carrying the failure cause
         and backoff) and outcome counters land in the metrics registry.
         Defaults to the all-null bundle: no overhead, no state.
+    memo:
+        The :class:`CompletionMemo` this client reads and fills.  Share one
+        only between clients with the same engine model and seed, latency
+        model and tokenizer; the default is a private memo.
 
     A response, its token counts and its latency ticks are pure functions
     of ``(engine, latency_model, prompt, supplement)``, so the client
-    memoises them per ``(prompt, supplement)`` pair (at most
-    ``_MEMO_LIMIT`` pairs each).  Everything that depends on the call
-    rather than the pair runs every time: the request budget, ``usage``,
-    the per-attempt fault, outage and failure draws with their observer
-    events, retries, backoff, the deadline, spans and counters, and the
-    fault plan's latency spike.
+    looks them up in ``memo`` per ``(prompt, supplement)`` pair and
+    computes only the pairs it misses.  Everything that depends on the
+    call rather than the pair runs every time: the request budget,
+    ``usage``, the per-attempt fault, outage and failure draws with their
+    observer events, retries, backoff, the deadline, spans and counters,
+    and the fault plan's latency spike.
     """
 
     engine: SimulatedLLM
@@ -182,13 +217,8 @@ class ChatClient:
     max_inflight: int = 1
     obs: Observability = field(default=NULL_OBS, repr=False)
     usage: Usage = field(default_factory=Usage)
+    memo: CompletionMemo = field(default_factory=CompletionMemo, repr=False, compare=False)
     _tokenizer: Tokenizer = field(default_factory=Tokenizer, repr=False)
-    _completions: dict[tuple[str, str | None], tuple[str, int, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _latencies: dict[tuple[str, str | None], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_rate < 1.0:
@@ -247,7 +277,8 @@ class ChatClient:
 
     def _completion(self, pair: tuple[str, str | None]) -> tuple[str, int, int]:
         """``(content, prompt_tokens, completion_tokens)`` for one pair."""
-        pure = self._completions.get(pair)
+        completions = self.memo.completions
+        pure = completions.get(pair)
         if pure is None:
             prompt, supplement = pair
             content = self.engine.respond(prompt, supplement=supplement)
@@ -256,8 +287,8 @@ class ChatClient:
                 self._prompt_tokens(prompt, supplement),
                 self._tokenizer.count(content),
             )
-            if len(self._completions) < _MEMO_LIMIT:
-                self._completions[pair] = pure
+            if len(completions) < _MEMO_LIMIT:
+                completions[pair] = pure
         return pure
 
     def completion_latency(self, messages: list[Message]) -> int:
@@ -272,14 +303,15 @@ class ChatClient:
         """
         pair = self._parse(messages)
         prompt, supplement = pair
-        ticks = self._latencies.get(pair)
+        latencies = self.memo.latencies
+        ticks = latencies.get(pair)
         if ticks is None:
             model = self.latency_model if self.latency_model is not None else DEFAULT_LATENCY
             ticks = model.ticks(
                 self.engine, prompt, supplement, self._prompt_tokens(prompt, supplement)
             )
-            if len(self._latencies) < _MEMO_LIMIT:
-                self._latencies[pair] = ticks
+            if len(latencies) < _MEMO_LIMIT:
+                latencies[pair] = ticks
         if self.fault_plan is not None:
             ticks += self.fault_plan.latency_ticks(prompt + (supplement or ""), 0)
         return ticks

@@ -32,6 +32,7 @@ from repro.policy.bandit import BANDIT_ALGORITHMS, ContextualBandit
 from repro.policy.candidates import STRATEGIES, CandidateGenerator, CandidateSet
 from repro.policy.feedback import GoldenRefresh
 from repro.policy.scoring import PolicyScorer, PromptResolver
+from repro.resilience import require_finite
 from repro.utils.serialize import Record, register
 from repro.world.prompts import SyntheticPrompt
 
@@ -39,6 +40,12 @@ __all__ = ["PolicyConfig", "AugmentationPolicy"]
 
 #: Tenant label used for anonymous traffic in bandit contexts.
 ANONYMOUS_TENANT = "anonymous"
+
+#: Most prompts one policy's aspect memo holds (see
+#: :meth:`AugmentationPolicy.complement_for`).  Past it, a new prompt is
+#: predicted on every call and not stored.  An entry is the prompt string
+#: and a small frozenset of interned aspect names.
+_ASPECT_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,7 @@ class PolicyConfig(Record):
             )
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        require_finite(self, "ucb_c")
         if self.ucb_c < 0:
             raise ConfigError(f"ucb_c must be >= 0, got {self.ucb_c}")
         if not 0.0 <= self.quality_gate <= 5.0:
@@ -128,6 +136,11 @@ class AugmentationPolicy:
     ``config.judge_seed``); ``feedback=None`` builds a
     :class:`~repro.policy.feedback.GoldenRefresh` from the config
     (``checkpoint_dir`` is threaded into it).
+
+    The policy keeps one memo, prompt → predicted aspects, for
+    :meth:`complement_for`.  It lives and dies with the policy, is never
+    serialized, and assumes ``pas`` is not retrained while the policy
+    serves (the gateway's complement cache assumes the same).
     """
 
     def __init__(
@@ -173,6 +186,7 @@ class AugmentationPolicy:
                 checkpoint_dir=checkpoint_dir,
             )
         )
+        self._aspects: dict[str, frozenset[str]] = {}
 
     @classmethod
     def from_config(
@@ -225,14 +239,32 @@ class AugmentationPolicy:
         without a predictor pass — the gateway hands in the complement it
         already computed through its cache tiers, which is bit-identical
         to the generator's ``static`` render (the parity test pins this).
+
+        Every other strategy renders the prompt's predicted aspects, which
+        are a pure function of the prompt text, so the k-NN vote runs once
+        per prompt per policy (at most ``_ASPECT_LIMIT`` prompts memoised).
+        The embedding tier is touched first, hit or not, exactly as an
+        unmemoised prediction through it would be, so its hits, misses
+        and recency do not depend on the memo.
         """
         if strategy == "none":
             return ""
         if strategy == "static" and static is not None:
             return static
-        aspects = self.pas.predictor.predict_aspects(
-            prompt_text, embed_cache=embed_cache
-        )
+        predictor = self.pas.predictor
+        embedding = None
+        if embed_cache is not None:
+            embedding = predictor.embedder.embed_cached(prompt_text, embed_cache)
+        aspects = self._aspects.get(prompt_text)
+        if aspects is None:
+            if embedding is None:
+                aspects = frozenset(predictor.predict_aspects(prompt_text))
+            else:
+                aspects = frozenset(
+                    predictor.predict_aspects_from_embedding(prompt_text, embedding)
+                )
+            if len(self._aspects) < _ASPECT_LIMIT:
+                self._aspects[prompt_text] = aspects
         return self.generator._render(strategy, prompt_text, aspects)
 
     def candidates(self, prompt_text: str, embed_cache=None) -> CandidateSet:

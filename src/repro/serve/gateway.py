@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # the policy layer is optional; never imported at runtime
 
 from repro.core.pas import PasModel
 from repro.errors import AugmentationError, CircuitOpenError, ReproError, UnknownModelError
-from repro.llm.api import ChatClient, LatencyModel
+from repro.llm.api import ChatClient, CompletionMemo, LatencyModel
 from repro.llm.engine import SimulatedLLM
 from repro.llm.types import build_messages
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
@@ -354,6 +354,16 @@ class PasGateway:
 
     Both caches are transparent: cached values are bit-identical to
     recomputation.  The serving API is outcome-based — see :meth:`ask`.
+
+    ``completion_memos`` maps a target model to the
+    :class:`~repro.llm.api.CompletionMemo` its client reads and fills; the
+    gateway adds a memo for each model it meets that the mapping lacks.
+    A :class:`~repro.serve.router.Router` passes one mapping to every
+    replica it builds, so a pair is completed once per fleet; ``None``
+    gives this gateway a private mapping.  Share one only between
+    gateways with equal ``seed`` and ``latency_model``: the memo holds
+    results of the engine and latency model of whichever client computed
+    them first.
     """
 
     def __init__(
@@ -365,6 +375,7 @@ class PasGateway:
         complement_cache: LruCache | None = None,
         embed_cache: LruCache | None = None,
         policy: "AugmentationPolicy | None" = None,
+        completion_memos: dict[str, CompletionMemo] | None = None,
         **rejected,
     ):
         if rejected:
@@ -383,6 +394,9 @@ class PasGateway:
         self.seed = int(self.config.seed)
         self._clock = 0
         self._clients: dict[str, ChatClient] = {}
+        self._completion_memos: dict[str, CompletionMemo] = (
+            completion_memos if completion_memos is not None else {}
+        )
         self._breakers: dict[str, CircuitBreaker] = {}
         # Injected caches let a Router share one two-tier cache across
         # replicas (``cache_scope="shared"``); ``None`` builds private
@@ -520,6 +534,7 @@ class PasGateway:
         """The (lazily created) client serving one target model."""
         if model not in self._clients:
             engine = SimulatedLLM(model, seed=self.seed)  # raises for unknown names
+            memo = self._completion_memos.setdefault(model, CompletionMemo())
             self._clients[model] = ChatClient(
                 engine=engine,
                 failure_rate=self.config.failure_rate,
@@ -530,6 +545,7 @@ class PasGateway:
                 latency_model=self.config.latency_model,
                 max_inflight=self.config.max_inflight,
                 obs=self.obs,
+                memo=memo,
             )
             self._served_series[model] = (
                 {

@@ -4,8 +4,9 @@ One :class:`~repro.serve.gateway.PasGateway` is one process; the paper's
 deployment story (Figure 1a: PAS in front of *any* model fleet) implies
 many.  :class:`Router` owns N gateway replicas — same trained PAS model,
 same :class:`~repro.serve.gateway.GatewayConfig`, so any replica produces
-bit-identical completions for the same request — and places each request
-by a pluggable policy:
+bit-identical completions for the same request, and the replicas it builds
+share one :class:`~repro.llm.api.CompletionMemo` per target model — and
+places each request by a pluggable policy:
 
 * ``policy="hash"`` — **cache affinity**: consistent hashing over a
   virtual-node ring keyed on the prompt (or tenant), so repeats of a
@@ -95,6 +96,7 @@ import numpy as np
 
 from repro.core.pas import PasModel
 from repro.errors import ConfigError
+from repro.llm.api import CompletionMemo
 from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.serve.cache import LruCache
 from repro.serve.gateway import BatchPlan, GatewayConfig, PasGateway
@@ -514,6 +516,11 @@ class Router:
         self._policy_obj = policy
         self._shared_complement: LruCache[str, str] | None = None
         self._shared_embed: LruCache[str, np.ndarray] | None = None
+        # One completion memo per target model for the replicas this
+        # router builds: they share one GatewayConfig, so one engine seed
+        # and latency model, and a pair completes once per fleet whatever
+        # cache_scope says.  Adopted gateways keep their own memos.
+        self._completion_memos: dict[str, CompletionMemo] = {}
 
         if replicas is not None:
             if pas is not None:
@@ -644,6 +651,7 @@ class Router:
             complement_cache=self._shared_complement,
             embed_cache=self._shared_embed,
             policy=self._policy_obj,
+            completion_memos=self._completion_memos,
         )
 
     def _bind_fleet_clock(self) -> None:

@@ -371,8 +371,13 @@ def find_cues(text: str) -> dict[str, str]:
 
 def find_markers(text: str) -> set[str]:
     """Aspects evidenced by marker phrases in a response text."""
-    stream = _padded_stream(text)
-    return {name for padded, name in _MARKER_TABLE if padded in stream}
+    return _markers_in(_padded_stream(text))
+
+
+def _markers_in(padded_stream: str) -> set[str]:
+    """:func:`find_markers` over a word stream already padded with one
+    space at each end, for callers that tokenise the text once."""
+    return {name for padded, name in _MARKER_TABLE if padded in padded_stream}
 
 
 def parse_directives(text: str | None) -> set[str]:

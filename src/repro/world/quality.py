@@ -19,10 +19,11 @@ length bias; human-evaluation panels observe it through per-annotator bias.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.utils import textproc
-from repro.world.aspects import ASPECTS, find_markers
+from repro.world.aspects import ASPECTS, _markers_in
 from repro.world.prompts import SyntheticPrompt
 
 __all__ = ["FLAW_MARKERS", "QualityAssessment", "assess_response"]
@@ -68,22 +69,37 @@ class QualityAssessment:
 
 def count_flaws(response_text: str) -> int:
     """Count flaw-marker occurrences in a response."""
-    stream = f" {textproc.wordstream(response_text)} "
-    return sum(stream.count(f" {marker} ") for marker in FLAW_MARKERS)
+    return _flaws_in(f" {textproc.wordstream(response_text)} ")
+
+
+def _flaws_in(padded_stream: str) -> int:
+    return sum(padded_stream.count(f" {marker} ") for marker in FLAW_MARKERS)
 
 
 def intent_overlap(prompt: SyntheticPrompt, response_text: str) -> float:
     """Fraction of the prompt's topic words echoed by the response."""
+    return _overlap(prompt, textproc.words(response_text))
+
+
+def _overlap(prompt: SyntheticPrompt, response_words: Iterable[str]) -> float:
     topic_words = prompt.topic_words
     if not topic_words:
         return 1.0
-    response_words = set(textproc.words(response_text))
-    return len(topic_words & response_words) / len(topic_words)
+    return len(topic_words.intersection(response_words)) / len(topic_words)
 
 
 def assess_response(prompt: SyntheticPrompt, response_text: str) -> QualityAssessment:
-    """Score a response against the prompt's ground-truth needs."""
-    evidenced = find_markers(response_text)
+    """Score a response against the prompt's ground-truth needs.
+
+    The response is normalised and tokenised once; markers, flaws, intent
+    overlap and the token count are all read off that one pass, with the
+    same results as :func:`~repro.world.aspects.find_markers`,
+    :func:`count_flaws` and :func:`intent_overlap` on the raw text.
+    """
+    normalized = textproc.normalize(response_text)
+    words = textproc.words_normalized(normalized)
+    stream = f" {' '.join(words)} "
+    evidenced = _markers_in(stream)
     needs = set(prompt.needs)
     covered = evidenced & needs
     missed = needs - evidenced
@@ -99,12 +115,12 @@ def assess_response(prompt: SyntheticPrompt, response_text: str) -> QualityAsses
     else:
         coverage = 1.0
 
-    flaws = count_flaws(response_text)
+    flaws = _flaws_in(stream)
     if "logic_trap" in missed:
         flaws += _TRAP_FLAWS
 
-    overlap = intent_overlap(prompt, response_text)
-    n_tokens = len(textproc.normalize(response_text).split())
+    overlap = _overlap(prompt, words)
+    n_tokens = len(normalized.split())
 
     score = (
         _BASE_SCORE

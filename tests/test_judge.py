@@ -51,6 +51,14 @@ class TestJudge:
         with pytest.raises(ValueError):
             JudgeConfig(noise_sigma=-1.0).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "name", ["noise_sigma", "length_bias", "tie_margin", "position_bias"]
+    )
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LlmJudge(JudgeConfig(**{name: value}))
+
     def test_pairwise_outcomes_valid(self, factory):
         judge = LlmJudge()
         engine = SimulatedLLM("gpt-4-0613")

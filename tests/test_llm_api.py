@@ -226,4 +226,4 @@ class TestCompletionMemo:
                     messages
                 )
                 assert client.complete(messages) == fresh.complete(messages)
-        assert len(client._completions) == len(client._latencies) == 2
+        assert len(client.memo.completions) == len(client.memo.latencies) == 2

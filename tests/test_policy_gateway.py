@@ -20,6 +20,7 @@ offsets.  The contracts pinned here:
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -28,6 +29,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.obs import Observability
 from repro.policy import AugmentationPolicy, PolicyConfig
+from repro.policy import policy as policy_module
 from repro.resilience import FaultPlan
 from repro.serve.gateway import GatewayConfig, PasGateway
 from repro.serve.router import Router, RouterConfig
@@ -179,6 +181,26 @@ class TestDeterminism:
             ) == resumed.observe(request.prompt, context, strategy, complement, response)
         assert resumed.snapshot() == live.snapshot()
 
+    def test_aspect_memo_is_never_serialized(
+        self, trained_pas, corpus, requests, monkeypatch
+    ):
+        def serve():
+            gateway = _gateway(trained_pas, policy=_policy(trained_pas, corpus))
+            gateway.ask_batch(requests * 3)
+            return gateway.policy
+
+        memoised = serve()
+        monkeypatch.setattr(policy_module, "_ASPECT_LIMIT", 0)
+        plain = serve()
+        assert memoised._aspects and not plain._aspects
+        assert memoised.as_dict() == plain.as_dict()
+        document = json.dumps(memoised.as_dict())
+        resumed = AugmentationPolicy.from_config(
+            trained_pas, PolicyConfig.from_dict(json.loads(document)), corpus=corpus
+        )
+        assert not resumed._aspects
+        assert json.dumps(resumed.as_dict()) == document
+
 
 # --------------------------------------------------------------------- #
 # 3. failure and edge semantics
@@ -304,3 +326,8 @@ class TestRouterAndTypes:
             AugmentationPolicy.from_config(
                 trained_pas, PolicyConfig(enabled=True, judge_seed=None)
             )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_ucb_c_rejected(self, value):
+        with pytest.raises(ConfigError, match="PolicyConfig.ucb_c must be finite"):
+            PolicyConfig(ucb_c=value)

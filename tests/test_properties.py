@@ -23,6 +23,7 @@ from repro.errors import EmptyDatasetError, ReproError
 from repro.llm import api as llm_api
 from repro.llm.api import ChatClient
 from repro.llm.engine import SimulatedLLM
+from repro.llm.generation import render_response
 from repro.llm.types import Message
 from repro.obs import Observability
 from repro.resilience import FaultPlan, OutageWindow, RetryPolicy
@@ -41,10 +42,11 @@ from repro.world.aspects import (
     find_markers,
     parse_directives,
 )
-from repro.world.prompts import PromptFactory
-from repro.world.quality import FLAW_MARKERS
+from repro.world.prompts import PromptFactory, SyntheticPrompt
+from repro.world.quality import FLAW_MARKERS, assess_response
 from repro.core.golden import MAX_DIRECTIVES, render_complement
 from tests.classify_oracle import reference_fit, reference_transform_batch
+from tests.quality_oracle import reference_assess_response
 
 _text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=200)
 
@@ -555,6 +557,79 @@ class TestDirectiveProperties:
 
 
 # ---------------------------------------------------------------------- #
+# The one-pass quality oracle equals the four-pass one
+# ---------------------------------------------------------------------- #
+
+_ORACLE_FACTORY = PromptFactory(rng=np.random.default_rng(29))
+_ORACLE_PROMPTS = [_ORACLE_FACTORY.make_prompt(cue_rate=0.9) for _ in range(8)]
+
+#: Pieces that ``normalize`` rewrites: accents, NFKD expansions
+#: (ligatures, superscripts, fractions, fullwidth and circled forms),
+#: characters it drops, apostrophes, punctuation runs and whitespace.
+_UNICODE_PIECES = st.sampled_from(
+    (
+        "é", "Ö", "ﬁ", "ﬀ", "²", "½", "①", "Ｗｏｒｄ", "Ⅻ", "ß", "İ", "ŉ", "…",
+        "’", "'", "''", "don't", "it's'", "--", "...", "?!", "—", "  ", "\n", "\t",
+        "\u00a0", "",
+    )
+)
+
+
+@st.composite
+def _oracle_prompts(draw):
+    """A corpus prompt, or one with drawn needs and topic (an empty or
+    short-worded topic has no topic words)."""
+    prompt = draw(st.sampled_from(_ORACLE_PROMPTS))
+    if draw(st.booleans()):
+        return prompt
+    return SyntheticPrompt(
+        uid=prompt.uid,
+        text=prompt.text,
+        category=prompt.category,
+        needs=draw(st.frozensets(st.sampled_from(aspect_names()), max_size=4)),
+        topic=draw(st.one_of(st.just(prompt.topic), st.just(""), _text.map(lambda s: s[:40]))),
+    )
+
+
+@st.composite
+def _rendered_response(draw):
+    """What the engine renders: drawn covered aspects, flawed sentences
+    and a missed logic trap, on a corpus prompt's text."""
+    n_elaborations = draw(st.integers(1, 8))
+    return render_response(
+        prompt_text=draw(st.sampled_from(_ORACLE_PROMPTS)).text,
+        covered_aspects=draw(st.sets(st.sampled_from(aspect_names()), max_size=6)),
+        n_elaborations=n_elaborations,
+        flawed_slots=draw(st.sets(st.integers(0, n_elaborations - 1))),
+        missed_trap=draw(st.booleans()),
+        rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+    )
+
+
+@st.composite
+def _decorated_text(draw):
+    """Marker and flaw phrases glued with unicode that NFKD rewrites."""
+    pieces = draw(
+        st.lists(st.one_of(_bank_text(), _UNICODE_PIECES, _text), min_size=0, max_size=6)
+    )
+    return "".join(pieces)
+
+
+class TestQualityOracleProperties:
+    @given(
+        _oracle_prompts(),
+        st.one_of(_rendered_response(), _decorated_text(), _text, st.just("")),
+    )
+    @example(_ORACLE_PROMPTS[0], "")
+    @example(_ORACLE_PROMPTS[0], "  ﬁrst, ÉVERYONE agrees that—it's ½ true!!  ")
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_one_pass_equals_four_pass(self, prompt, response):
+        assert assess_response(prompt, response) == reference_assess_response(
+            prompt, response
+        )
+
+
+# ---------------------------------------------------------------------- #
 # The client's completion memo is invisible
 # ---------------------------------------------------------------------- #
 
@@ -631,7 +706,7 @@ class TestCompletionMemoProperties:
             assert got == expected
             assert memoised.usage == plain.usage
             assert memo_events == plain_events
-        assert not plain._completions and not plain._latencies
+        assert not plain.memo.completions and not plain.memo.latencies
 
 
 #: Real prompts for the serving property: the planner embeds and augments

@@ -9,6 +9,7 @@ requests whose augmentation failed.
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,14 +24,18 @@ from repro.judge import judge
 from repro.llm import api
 from repro.llm.api import ChatClient, LatencyModel, TransientApiError
 from repro.llm.engine import SimulatedLLM
+from repro.llm.sft import SftDirectivePredictor
 from repro.llm.types import Message, build_messages
 from repro.obs import Observability
 from repro.policy import AugmentationPolicy, PolicyConfig
+from repro.policy import policy as policy_module
 from repro.resilience import NO_FAULTS, CircuitBreaker, FaultPlan, OutageWindow, RetryPolicy
+from repro.serve.config import ServingConfig
 from repro.serve.engine import EngineConfig, ServingEngine
 from repro.serve.gateway import GatewayConfig, PasGateway
+from repro.serve.router import FairnessPolicy, FleetPlan, HedgePolicy, Router, RouterConfig
 from repro.serve.scheduler import MicroBatcher
-from repro.serve.traffic import TrafficConfig, TrafficGenerator
+from repro.serve.traffic import TenantProfile, TrafficConfig, TrafficGenerator
 from repro.serve.types import ServeRequest, ServeResponse
 from repro.world.prompts import PromptFactory
 
@@ -467,10 +472,85 @@ class TestChaos:
         assert sum(r.failed for r in responses) == gateway.stats.failures
 
 
+FLEET_TENANTS = (
+    TenantProfile(
+        "devs",
+        models=(("gpt-4-0613", 1.0), ("gpt-3.5-turbo-1106", 1.0)),
+        priority=1,
+        deadline_ticks=256,
+    ),
+    TenantProfile("lobby"),
+)
+
+
+def _fleet_inputs(seed: int):
+    """A small fleet shaped like the e2e ``fleet_policy`` workload: four
+    least-loaded replicas, p95 hedging, WFQ, an enabled policy, injected
+    completion failures and retries, under bursty two-tenant traffic."""
+    factory = PromptFactory(rng=np.random.default_rng(31 + seed))
+    corpus = [factory.make_prompt(cue_rate=0.9) for _ in range(16)]
+    traffic = TrafficConfig(
+        n_requests=160,
+        seed=seed,
+        process="bursty",
+        mean_gap_ticks=2.0,
+        zipf_exponent=0.6,
+        burst_factor=4.0,
+        tenants=FLEET_TENANTS,
+    )
+    config = ServingConfig(
+        router=RouterConfig(n_replicas=4, policy="least_loaded", seed=seed),
+        gateway=GatewayConfig(
+            seed=seed,
+            cache_size=8,
+            embed_cache_size=8,
+            fault_plan=FaultPlan(seed=seed, completion_failure_rate=0.1),
+            retry_policy=RetryPolicy(max_retries=3),
+        ),
+        engine=EngineConfig(max_inflight=4, max_queue=4096),
+        traffic=traffic,
+        policy=PolicyConfig(enabled=True, epsilon=0.3, judge_seed=seed, seed=seed),
+        fleet=FleetPlan(
+            hedge=HedgePolicy(percentile=95),
+            fairness=FairnessPolicy(mode="wfq", weights=(("devs", 2.0), ("lobby", 1.0))),
+            spike_rate=0.1,
+            spike_ticks=32,
+        ),
+    )
+    config.validate()
+    trace = TrafficGenerator([p.text for p in corpus], traffic).trace()
+    return config, corpus, trace
+
+
+def _fleet_run(pas, config, corpus, trace, obs=None):
+    """One engine run through freshly built policy, router and engine."""
+    policy = AugmentationPolicy.from_config(pas, config.policy, corpus=corpus)
+    kwargs = {} if obs is None else {"obs": obs}
+    router = Router(pas, config, policy=policy, **kwargs)
+    return router, ServingEngine(router, config).run(trace)
+
+
+def _count_calls(monkeypatch, cls, name: str, key=lambda self, *args, **kw: None) -> list:
+    """Record ``key(...)`` of every call to ``cls.name`` in the returned list."""
+    calls: list = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(key(self, *args, **kwargs))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def _respond_key(engine, prompt, supplement=None):
+    return engine.name, prompt, supplement
+
+
 class TestMemoParity:
-    """The client's completion memo and the judge's grade memo are
-    invisible: a faulted, policied engine run is byte-identical with both
-    memos on and with both capped at zero."""
+    """The completion memo, the policy's aspect memo and the judge's grade
+    memo are invisible: a faulted, policied engine run is byte-identical
+    with every memo on and with every one capped at zero."""
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_zipf_run_identical_with_memos_off(self, trained_pas, seed, tmp_path, monkeypatch):
@@ -507,7 +587,7 @@ class TestMemoParity:
             events = tmp_path / f"events-{tag}.jsonl"
             obs.events.export_jsonl(events)
             memo_sizes = (
-                len(gateway.client_for("gpt-4-0613")._completions),
+                len(gateway.client_for("gpt-4-0613").memo.completions),
                 len(policy.scorer.judge._grades),
             )
             served = gateway.stats.served
@@ -524,9 +604,102 @@ class TestMemoParity:
         assert 0 < grades < served
         monkeypatch.setattr(api, "_MEMO_LIMIT", 0)
         monkeypatch.setattr(judge, "_GRADE_LIMIT", 0)
+        monkeypatch.setattr(policy_module, "_ASPECT_LIMIT", 0)
         plain, memo_sizes, _ = run("plain")
         assert memo_sizes == (0, 0)
         assert plain == memoised
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_fleet_run_identical_with_memos_off(
+        self, trained_pas, seed, tmp_path, monkeypatch
+    ):
+        config, corpus, trace = _fleet_inputs(seed)
+        responds = _count_calls(monkeypatch, SimulatedLLM, "respond", _respond_key)
+
+        def run(tag):
+            obs = Observability.enabled(trace_capacity=4096, event_capacity=65536)
+            router, result = _fleet_run(trained_pas, config, corpus, trace, obs)
+            events = tmp_path / f"events-{tag}.jsonl"
+            obs.events.export_jsonl(events)
+            return (
+                result.responses,
+                [gateway.stats.as_dict() for gateway in router.replicas],
+                router.stats.as_dict(),
+                obs.metrics.snapshot(),
+                events.read_bytes(),
+            )
+
+        memoised = run("memo")
+        _, replica_stats, router_stats, _, _ = memoised
+        # The run exercised what the memos must stay invisible under.
+        assert sum(stats["retries"] for stats in replica_stats) > 0
+        assert router_stats["hedges"].get("win", 0) + router_stats["hedges"].get("loss", 0) > 0
+        assert all(stats["requests"] > 0 for stats in replica_stats)
+        # One completion per distinct (model, prompt, complement) in the
+        # whole fleet, whichever replica or hedge asked for it.
+        assert max(Counter(responds).values()) == 1
+        distinct = len(responds)
+        responds.clear()
+
+        monkeypatch.setattr(api, "_MEMO_LIMIT", 0)
+        monkeypatch.setattr(judge, "_GRADE_LIMIT", 0)
+        monkeypatch.setattr(policy_module, "_ASPECT_LIMIT", 0)
+        plain = run("plain")
+        assert len(responds) > distinct
+        assert plain == memoised
+
+
+class TestMemoScope:
+    """Which memo is shared with whom, and for how long."""
+
+    def test_built_replicas_and_newcomers_share_one_memo_per_model(self, trained_pas):
+        router = Router(trained_pas, RouterConfig(n_replicas=3))
+        newcomer = router.gateway_for(router.add_replica())
+        for model in ("gpt-4-0613", "gpt-3.5-turbo-1106"):
+            memos = {id(gateway.client_for(model).memo) for gateway in router.replicas}
+            assert len(memos) == 1
+            assert id(newcomer.client_for(model).memo) in memos
+        assert (
+            router.replicas[0].client_for("gpt-4-0613").memo
+            is not router.replicas[0].client_for("gpt-3.5-turbo-1106").memo
+        )
+        lone = PasGateway(trained_pas)
+        assert lone.client_for("gpt-4-0613").memo is not newcomer.client_for("gpt-4-0613").memo
+
+    def test_each_engine_run_starts_cold(self, trained_pas, monkeypatch):
+        config, corpus, trace = _fleet_inputs(CHAOS_OFFSET)
+        responds = _count_calls(monkeypatch, SimulatedLLM, "respond")
+        votes = _count_calls(monkeypatch, SftDirectivePredictor, "_vote_from_embedding")
+
+        def run():
+            responds.clear()
+            votes.clear()
+            _, result = _fleet_run(trained_pas, config, corpus, trace)
+            return result.responses, len(responds), len(votes)
+
+        first = run()
+        assert first[1] > 0 and first[2] > 0
+        # Nothing memoised on the shared PasModel carries over: the second
+        # fleet computes every completion and vote again.
+        assert run() == first
+
+    def test_adopted_gateways_with_other_seeds_share_nothing(self, trained_pas):
+        configs = [GatewayConfig(seed=CHAOS_OFFSET), GatewayConfig(seed=CHAOS_OFFSET + 1)]
+        router = Router(replicas=[PasGateway(trained_pas, config) for config in configs])
+        served = []
+        for rid, config in enumerate(configs):
+            alone = PasGateway(trained_pas, config)
+            responses = []
+            for request in _requests(PROMPTS):
+                plan = router.plan_batch(rid, [request])
+                assert router.completion_latency(
+                    rid, request, plan
+                ) == alone.completion_latency(request, alone.plan_batch([request]))
+                response = router.serve_planned(rid, request, plan)
+                assert response == alone.ask(request)
+                responses.append(response.response)
+            served.append(responses)
+        assert served[0] != served[1]
 
 
 class TestNoopPlanParity:
