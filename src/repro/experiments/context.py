@@ -26,7 +26,7 @@ from repro.judge.suites import (
 )
 from repro.llm.engine import SimulatedLLM
 from repro.llm.profiles import TARGET_MODELS
-from repro.pipeline.collect import PromptCollector
+from repro.pipeline.collect import CollectionResult, PromptCollector
 from repro.pipeline.dataset import PromptPairDataset
 from repro.pipeline.generate import GenerationConfig, PairGenerator
 from repro.world.prompts import CorpusConfig, PromptFactory
@@ -73,15 +73,19 @@ class ExperimentContext:
     # data pipeline artifacts
     # -------------------------------------------------------------- #
 
-    def _build_dataset(self, curate: bool) -> PromptPairDataset:
+    @cached_property
+    def _collection(self) -> CollectionResult:
+        """§3.1 collection over the seed's corpus.  Both datasets build on
+        it: ``curate`` changes only pair generation."""
         factory = PromptFactory(rng=np.random.default_rng(self.seed))
         corpus = factory.make_corpus(
             CorpusConfig(n_prompts=self.scale.n_corpus_prompts)
         )
-        collector = PromptCollector(seed=self.seed)
-        collected = collector.collect(corpus)
+        return PromptCollector(seed=self.seed).collect(corpus)
+
+    def _build_dataset(self, curate: bool) -> PromptPairDataset:
         generator = PairGenerator(config=GenerationConfig(curate=curate))
-        return generator.build_dataset(collected.selected)
+        return generator.build_dataset(self._collection.selected)
 
     @cached_property
     def curated_dataset(self) -> PromptPairDataset:

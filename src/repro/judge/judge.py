@@ -16,14 +16,13 @@ margin.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.rng import stable_hash
 from repro.world.prompts import SyntheticPrompt
-from repro.world.quality import assess_response
+from repro.world.quality import QualityAssessment, assess_response
 
 __all__ = ["JudgeConfig", "PairwiseVerdict", "LlmJudge"]
 
@@ -108,39 +107,19 @@ class LlmJudge:
                 self._grades[key] = grade
         return grade
 
-    def absolute_score_batch(
-        self, prompt: SyntheticPrompt, responses: Sequence[str]
-    ) -> list[float]:
-        """Absolute grades for many responses to one prompt.
-
-        One oracle pass and one vectorised clip over the batch; the noise
-        draws are the same per-``(prompt, response)`` pure functions the
-        scalar path uses, so the result is bit-identical to
-        ``[self.absolute_score(prompt, r) for r in responses]`` (the
-        parity test pins it).  This is the policy scorer's hot path —
-        grading k candidates must not pay k scalar judge calls.
-        """
-        responses = list(responses)
-        if not responses:
-            return []
-        true_scores = np.array(
-            [assess_response(prompt, response).score for response in responses]
-        )
-        noise = np.array(
-            [self._noise("abs", prompt.text, response) for response in responses]
-        )
-        return [float(x) for x in np.clip(true_scores + noise, 0.0, 5.0)]
-
     def _one_order(
-        self, prompt: SyntheticPrompt, first: str, second: str, tag: str
+        self,
+        prompt: SyntheticPrompt,
+        first: str,
+        second: str,
+        q_first: QualityAssessment,
+        q_second: QualityAssessment,
+        tag: str,
     ) -> tuple[float, float, float]:
-        """Judge one presentation order; returns (outcome-for-first,
-        perceived-first, perceived-second)."""
-        q_first = assess_response(prompt, first)
-        q_second = assess_response(prompt, second)
-        log_ratio = math.log(
-            max(q_first.response_tokens, 1) / max(q_second.response_tokens, 1)
-        )
+        """Judge one presentation order from both responses' oracle
+        assessments; returns (outcome-for-first, perceived-first,
+        perceived-second)."""
+        log_ratio = _length_log_ratio(q_first, q_second)
         perceived_first = (
             q_first.score
             + self._noise(f"{tag}-first", prompt.text, first, second)
@@ -165,23 +144,29 @@ class LlmJudge:
 
         With ``both_orders`` (the benchmarks' default), the pair is judged
         in both presentation orders and the verdicts averaged, cancelling
-        the judge's position bias.
+        the judge's position bias.  Each response is assessed by the
+        oracle once.
         """
+        q_a = assess_response(prompt, response_a)
+        q_b = assess_response(prompt, response_b)
         outcome_ab, perceived_a, perceived_b = self._one_order(
-            prompt, response_a, response_b, "ab"
+            prompt, response_a, response_b, q_a, q_b, "ab"
         )
         if self.config.both_orders:
-            outcome_ba, _, _ = self._one_order(prompt, response_b, response_a, "ba")
+            outcome_ba, _, _ = self._one_order(
+                prompt, response_b, response_a, q_b, q_a, "ba"
+            )
             outcome = (outcome_ab + (1.0 - outcome_ba)) / 2.0
         else:
             outcome = outcome_ab
-        log_ratio = math.log(
-            max(assess_response(prompt, response_a).response_tokens, 1)
-            / max(assess_response(prompt, response_b).response_tokens, 1)
-        )
         return PairwiseVerdict(
             outcome=outcome,
             perceived_a=perceived_a,
             perceived_b=perceived_b,
-            length_log_ratio=log_ratio,
+            length_log_ratio=_length_log_ratio(q_a, q_b),
         )
+
+
+def _length_log_ratio(q_first: QualityAssessment, q_second: QualityAssessment) -> float:
+    """``log(len_first / len_second)`` in tokens, each floored at one."""
+    return math.log(max(q_first.response_tokens, 1) / max(q_second.response_tokens, 1))

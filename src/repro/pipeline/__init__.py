@@ -2,8 +2,11 @@
 
 Interactive use goes through :class:`PromptCollector` /
 :class:`PairGenerator`; production runs go through
-:class:`PipelineRunner`, which executes the same stages batched,
-checkpointed, and observable under one :class:`PipelineConfig`.
+:class:`PipelineRunner`, which checkpoints and observes the same stages
+under one :class:`PipelineConfig`.  Each stage has one implementation:
+``PromptCollector.collect`` calls the collection stage functions in
+:mod:`repro.pipeline.runner` directly, and the runner wraps those calls
+and ``PairGenerator.build_pair`` in checkpoints, ticks and obs.
 """
 
 from repro.pipeline.collect import (

@@ -11,6 +11,13 @@ Three stages over a raw prompt corpus:
    exemplar choice, so classifier errors propagate realistically).
 
 An optional k-center-greedy diversity stage caps the output size.
+
+This module holds the collection's config, its records and
+:class:`PromptCollector`, which owns the stage components.  The stage math
+itself is written once, in :mod:`repro.pipeline.runner`:
+:meth:`PromptCollector.collect` calls those functions directly, and
+:class:`~repro.pipeline.runner.PipelineRunner` wraps the same calls in
+checkpoints and obs.
 """
 
 from __future__ import annotations
@@ -18,12 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.classify.model import CategoryClassifier
-from repro.cluster.dedup import deduplicate
-from repro.cluster.kcenter import k_center_greedy
 from repro.embedding.model import EmbeddingModel
 from repro.errors import ConfigError
 from repro.llm.engine import SimulatedLLM
-from repro.pipeline.select import QualityScorer
 from repro.utils.serialize import Record
 from repro.world.prompts import SyntheticPrompt
 
@@ -152,7 +156,8 @@ class PromptCollector:
     section (and ``seed``, unless given explicitly) is used.  Those are
     the only construction paths; the pre-config flat stage kwargs
     (``dedup_threshold=...`` etc.) raise a :class:`TypeError` naming the
-    config field to use.
+    config field to use.  Without a ``classifier``, the default one is
+    fitted the first time a prompt is left to classify.
     """
 
     def __init__(
@@ -188,75 +193,11 @@ class PromptCollector:
         self.config.validate()
         self.seed = int(seed if seed is not None else 0)
 
-    def _ensure_classifier(self) -> CategoryClassifier:
-        if self.classifier is None:
-            self.classifier = CategoryClassifier().fit_synthetic(seed=self.seed + 17)
-        return self.classifier
-
     def collect(self, corpus: list[SyntheticPrompt]) -> CollectionResult:
         """Run dedup → quality filter → classify (→ optional diversity cap)."""
-        n_input = len(corpus)
-        if n_input == 0:
-            return CollectionResult([], 0, 0, 0, 0)
+        # Imported here: the runner module imports this one.
+        from repro.pipeline.runner import _classify, _dedup, _filter_quality
 
-        # Stage 1: deduplication over embeddings.
-        if self.config.skip_dedup:
-            survivors = list(corpus)
-        else:
-            embeddings = self.embedder.embed_batch([p.text for p in corpus])
-            result = deduplicate(
-                embeddings,
-                threshold=self.config.dedup_threshold,
-                k_neighbors=self.config.dedup_neighbors,
-                keep_per_group=self.config.keep_per_group,
-                seed=self.seed,
-                n_shards=self.config.dedup_shards,
-                backend=self.config.dedup_backend,
-            )
-            survivors = [corpus[i] for i in result.kept]
-        n_after_dedup = len(survivors)
-
-        # Stage 2: quality filtering (batched; bit-identical to the loop).
-        if self.config.skip_quality_filter:
-            graded = [(p, 1.0) for p in survivors]
-        else:
-            texts = [p.text for p in survivors]
-            scorer = QualityScorer(grader=self.grader).fit(texts)
-            graded = [
-                (p, score)
-                for p, score in zip(survivors, scorer.score_batch(texts), strict=True)
-                if score >= self.config.quality_threshold
-            ]
-        n_after_quality = len(graded)
-
-        # Stage 3: classification.
-        classifier = self._ensure_classifier()
-        texts = [p.text for p, _ in graded]
-        categories = classifier.predict_batch(texts)
-        selected = [
-            SelectedPrompt(prompt=p, predicted_category=cat, quality=score)
-            for (p, score), cat in zip(graded, categories, strict=True)
-        ]
-
-        # Optional diversity cap via k-center greedy.
-        if self.config.target_size is not None and len(selected) > self.config.target_size:
-            embeddings = self.embedder.embed_batch([s.prompt.text for s in selected])
-            chosen = k_center_greedy(embeddings, self.config.target_size)
-            selected = [selected[i] for i in sorted(chosen)]
-
-        survivor_uids = {p.uid for p, _ in graded}
-        return CollectionResult(
-            selected=selected,
-            n_input=n_input,
-            n_after_dedup=n_after_dedup,
-            n_after_quality=n_after_quality,
-            n_final=len(selected),
-            stats={
-                "removed_by_dedup": n_input - n_after_dedup,
-                "removed_by_quality": n_after_dedup - n_after_quality,
-                "dedup_removed_uids": {p.uid for p in corpus}
-                - {p.uid for p in survivors},
-                "quality_removed_uids": {p.uid for p in survivors}
-                - survivor_uids,
-            },
-        )
+        survivors = _dedup(self, corpus)
+        graded = _filter_quality(self, survivors)
+        return _classify(self, corpus, survivors, graded)

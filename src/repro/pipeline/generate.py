@@ -243,18 +243,6 @@ class PairCritic:
             )
         return CritiqueResult(True, "valid supplement")
 
-    def critique_batch(
-        self, pairs: list[tuple[str, str]]
-    ) -> list[CritiqueResult]:
-        """Verdicts for many ``(prompt, ape)`` pairs in one call.
-
-        Each verdict is a pure function of its own pair (the critic's cue
-        perception is content-keyed), so the result is bit-identical to
-        ``[critique(p, a) for p, a in pairs]`` — the repo-wide batching
-        contract.
-        """
-        return [self.critique(prompt, ape) for prompt, ape in pairs]
-
 
 #: The flat ``PairGenerator.__init__`` kwargs removed with the
 #: elastic-fleet API redesign; each raises a :class:`TypeError` naming

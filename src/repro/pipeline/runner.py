@@ -5,12 +5,18 @@
 
     dedup ──▶ quality ──▶ classify ──▶ generate ──▶ dataset
 
+The three collection stages (paper §3.1, Figure 3a) are written once, as
+the module functions :func:`_dedup`, :func:`_filter_quality` and
+:func:`_classify`: :meth:`PromptCollector.collect
+<repro.pipeline.collect.PromptCollector.collect>` calls them directly, and
+the runner's ``_stage_*`` methods wrap the same calls in checkpoint
+payloads, ticks and obs.  Generation runs ``PairGenerator.build_pair``.
+
 Each stage consumes the *reloaded* JSON payload of its predecessor and
 writes a content-hashed checkpoint when it completes, so a run killed
-between (or inside) stages resumes bit-identically: the stage math is the
-same batched code paths ``PromptCollector`` / ``PairGenerator`` use, and
-because every consumer reads the JSON round-trip of its input, an
-uninterrupted run and a resumed run see byte-for-byte the same bytes.
+between (or inside) stages resumes bit-identically: because every
+consumer reads the JSON round-trip of its input, an uninterrupted run and
+a resumed run see byte-for-byte the same bytes.
 
 Observability rides along deterministically.  Every stage records its
 span window, events, and counter increments into its checkpoint; resuming
@@ -47,7 +53,7 @@ from repro.embedding.model import EmbeddingModel
 from repro.errors import ReproError
 from repro.llm.engine import SimulatedLLM
 from repro.obs import NULL_OBS, Observability
-from repro.pipeline.collect import CollectionResult, SelectedPrompt
+from repro.pipeline.collect import CollectionResult, PromptCollector, SelectedPrompt
 from repro.pipeline.config import PIPELINE_STAGES, PipelineConfig
 from repro.pipeline.dataset import PromptPair, PromptPairDataset
 from repro.pipeline.generate import PairGenerator
@@ -109,6 +115,95 @@ def _payload_hash(payload: dict) -> str:
     return f"{stable_hash(material):016x}"
 
 
+# ---------------------------------------------------------------------- #
+# the collection stage math (paper §3.1, Figure 3a)
+# ---------------------------------------------------------------------- #
+# These live here rather than in ``collect.py`` (which this module imports)
+# so the dedup call goes through this module's ``deduplicate`` binding, the
+# one ``benchmarks/e2e/tracing.py`` wraps as the ``cluster.dedup`` layer.
+
+
+def _dedup(collector: PromptCollector, corpus: list[SyntheticPrompt]) -> list[SyntheticPrompt]:
+    """Stage 1: embed the corpus and keep ``keep_per_group``
+    representatives of each near-duplicate group, in corpus order."""
+    cc = collector.config
+    if not corpus or cc.skip_dedup:
+        return list(corpus)
+    embeddings = collector.embedder.embed_batch([p.text for p in corpus])
+    result = deduplicate(
+        embeddings,
+        threshold=cc.dedup_threshold,
+        k_neighbors=cc.dedup_neighbors,
+        keep_per_group=cc.keep_per_group,
+        seed=collector.seed,
+        n_shards=cc.dedup_shards,
+        backend=cc.dedup_backend,
+    )
+    return [corpus[i] for i in result.kept]
+
+
+def _filter_quality(
+    collector: PromptCollector, survivors: list[SyntheticPrompt]
+) -> list[tuple[SyntheticPrompt, float]]:
+    """Stage 2: grade the survivors in one batch and keep ``(prompt,
+    quality)`` for those at or above ``quality_threshold``."""
+    cc = collector.config
+    if not survivors or cc.skip_quality_filter:
+        return [(p, 1.0) for p in survivors]
+    texts = [p.text for p in survivors]
+    scorer = QualityScorer(grader=collector.grader).fit(texts)
+    return [
+        (p, score)
+        for p, score in zip(survivors, scorer.score_batch(texts), strict=True)
+        if score >= cc.quality_threshold
+    ]
+
+
+def _classify(
+    collector: PromptCollector,
+    corpus: list[SyntheticPrompt],
+    survivors: list[SyntheticPrompt],
+    graded: list[tuple[SyntheticPrompt, float]],
+) -> CollectionResult:
+    """Stage 3: predict each graded prompt's category, cap the output at
+    ``target_size`` by k-center greedy, and count what each stage removed.
+
+    Without a classifier the collector fits the default one, once, and
+    only when a prompt is left to classify.
+    """
+    cc = collector.config
+    selected: list[SelectedPrompt] = []
+    if graded:
+        if collector.classifier is None:
+            collector.classifier = CategoryClassifier().fit_synthetic(
+                seed=collector.seed + 17
+            )
+        categories = collector.classifier.predict_batch([p.text for p, _ in graded])
+        selected = [
+            SelectedPrompt(prompt=p, predicted_category=cat, quality=score)
+            for (p, score), cat in zip(graded, categories, strict=True)
+        ]
+    if cc.target_size is not None and len(selected) > cc.target_size:
+        embeddings = collector.embedder.embed_batch([s.prompt.text for s in selected])
+        chosen = k_center_greedy(embeddings, cc.target_size)
+        selected = [selected[i] for i in sorted(chosen)]
+    survivor_uids = {p.uid for p in survivors}
+    stats = {
+        "removed_by_dedup": len(corpus) - len(survivors),
+        "removed_by_quality": len(survivors) - len(graded),
+        "dedup_removed_uids": {p.uid for p in corpus} - survivor_uids,
+        "quality_removed_uids": survivor_uids - {p.uid for p, _ in graded},
+    }
+    return CollectionResult(
+        selected=selected,
+        n_input=len(corpus),
+        n_after_dedup=len(survivors),
+        n_after_quality=len(graded),
+        n_final=len(selected),
+        stats=stats if corpus else {},
+    )
+
+
 class PipelineRunner:
     """Runs the five-stage curation pipeline with checkpoints and obs.
 
@@ -121,7 +216,7 @@ class PipelineRunner:
         Where stage checkpoints live.  ``None`` keeps them in memory —
         same write-then-reload semantics, no resume across processes.
     embedder, grader, classifier, teacher, critic, golden:
-        Component overrides, mirroring ``PromptCollector`` and
+        Component overrides for the runner's ``PromptCollector`` and
         ``PairGenerator`` (models default to the ones named in
         ``config.runner``).  Note component overrides are *not* part of
         the run key — resume with the same overrides.
@@ -149,9 +244,12 @@ class PipelineRunner:
         self.config.validate()
         self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
         self._memory: dict[str, str] = {}
-        self.embedder = embedder or EmbeddingModel()
-        self.grader = grader or SimulatedLLM(self.config.runner.grader_model)
-        self.classifier = classifier
+        self.collector = PromptCollector(
+            embedder,
+            grader or SimulatedLLM(self.config.runner.grader_model),
+            classifier,
+            config=self.config,
+        )
         self.pair_generator = PairGenerator(
             teacher=teacher or SimulatedLLM(self.config.runner.teacher_model),
             critic=critic or SimulatedLLM(self.config.runner.critic_model, seed=1),
@@ -331,124 +429,39 @@ class PipelineRunner:
     # the five stages
     # ------------------------------------------------------------------ #
 
-    def _stage_dedup(self, corpus: list[SyntheticPrompt]) -> tuple[dict, dict]:
-        cc = self.config.collection
-        n_input = len(corpus)
-        if n_input == 0 or cc.skip_dedup:
-            survivors = list(corpus)
-        else:
-            embeddings = self.embedder.embed_batch([p.text for p in corpus])
-            result = deduplicate(
-                embeddings,
-                threshold=cc.dedup_threshold,
-                k_neighbors=cc.dedup_neighbors,
-                keep_per_group=cc.keep_per_group,
-                seed=self.config.seed,
-                n_shards=cc.dedup_shards,
-                backend=cc.dedup_backend,
-            )
-            survivors = [corpus[i] for i in result.kept]
-        kept_uids = {p.uid for p in survivors}
-        removed = sorted(p.uid for p in corpus if p.uid not in kept_uids)
-        self._tick += n_input
+    def _processed(self, stage: str, n_items: int) -> None:
+        """Advance the clock one tick per item and count the items."""
+        self._tick += n_items
         self._inc(
             "pas_pipeline_items_total",
             help="Items processed per pipeline stage.",
-            amount=n_input,
-            stage="dedup",
+            amount=n_items,
+            stage=stage,
         )
-        payload = {
-            "n_input": n_input,
-            "survivors": [p.as_dict() for p in survivors],
-            "removed_uids": removed,
-        }
-        return payload, {"n_input": n_input, "n_kept": len(survivors)}
+
+    def _stage_dedup(self, corpus: list[SyntheticPrompt]) -> tuple[dict, dict]:
+        survivors = _dedup(self.collector, corpus)
+        self._processed("dedup", len(corpus))
+        payload = {"survivors": [p.as_dict() for p in survivors]}
+        return payload, {"n_input": len(corpus), "n_kept": len(survivors)}
 
     def _stage_quality(self, dedup_payload: dict) -> tuple[dict, dict]:
-        cc = self.config.collection
         survivors = [SyntheticPrompt.from_dict(p) for p in dedup_payload["survivors"]]
-        if not survivors or cc.skip_quality_filter:
-            graded = [(p, 1.0) for p in survivors]
-        else:
-            texts = [p.text for p in survivors]
-            scorer = QualityScorer(grader=self.grader).fit(texts)
-            graded = [
-                (p, score)
-                for p, score in zip(survivors, scorer.score_batch(texts), strict=True)
-                if score >= cc.quality_threshold
-            ]
-        kept_uids = {p.uid for p, _ in graded}
-        removed = sorted(p.uid for p in survivors if p.uid not in kept_uids)
-        self._tick += len(survivors)
-        self._inc(
-            "pas_pipeline_items_total",
-            help="Items processed per pipeline stage.",
-            amount=len(survivors),
-            stage="quality",
-        )
-        payload = {
-            "graded": [{"prompt": p.as_dict(), "quality": s} for p, s in graded],
-            "removed_uids": removed,
-        }
+        graded = _filter_quality(self.collector, survivors)
+        self._processed("quality", len(survivors))
+        payload = {"graded": [{"prompt": p.as_dict(), "quality": s} for p, s in graded]}
         return payload, {"n_graded": len(survivors), "n_kept": len(graded)}
 
-    def _ensure_classifier(self) -> CategoryClassifier:
-        if self.classifier is None:
-            self.classifier = CategoryClassifier().fit_synthetic(
-                seed=self.config.seed + 17
-            )
-        return self.classifier
-
-    def _stage_classify(self, dedup_payload: dict, quality_payload: dict) -> tuple[dict, dict]:
-        cc = self.config.collection
-        n_input = int(dedup_payload["n_input"])
+    def _stage_classify(
+        self, corpus: list[SyntheticPrompt], dedup_payload: dict, quality_payload: dict
+    ) -> tuple[dict, dict]:
+        survivors = [SyntheticPrompt.from_dict(p) for p in dedup_payload["survivors"]]
         graded = [
             (SyntheticPrompt.from_dict(g["prompt"]), float(g["quality"]))
             for g in quality_payload["graded"]
         ]
-        if n_input == 0:
-            collection = CollectionResult([], 0, 0, 0, 0)
-        else:
-            selected: list[SelectedPrompt] = []
-            if graded:
-                classifier = self._ensure_classifier()
-                categories = classifier.predict_batch([p.text for p, _ in graded])
-                selected = [
-                    SelectedPrompt(prompt=p, predicted_category=cat, quality=score)
-                    for (p, score), cat in zip(graded, categories, strict=True)
-                ]
-            if cc.target_size is not None and len(selected) > cc.target_size:
-                embeddings = self.embedder.embed_batch(
-                    [s.prompt.text for s in selected]
-                )
-                chosen = k_center_greedy(embeddings, cc.target_size)
-                selected = [selected[i] for i in sorted(chosen)]
-            n_after_dedup = n_input - len(dedup_payload["removed_uids"])
-            n_after_quality = n_after_dedup - len(quality_payload["removed_uids"])
-            collection = CollectionResult(
-                selected=selected,
-                n_input=n_input,
-                n_after_dedup=n_after_dedup,
-                n_after_quality=n_after_quality,
-                n_final=len(selected),
-                stats={
-                    "removed_by_dedup": n_input - n_after_dedup,
-                    "removed_by_quality": n_after_dedup - n_after_quality,
-                    "dedup_removed_uids": {
-                        int(uid) for uid in dedup_payload["removed_uids"]
-                    },
-                    "quality_removed_uids": {
-                        int(uid) for uid in quality_payload["removed_uids"]
-                    },
-                },
-            )
-        self._tick += len(graded)
-        self._inc(
-            "pas_pipeline_items_total",
-            help="Items processed per pipeline stage.",
-            amount=len(graded),
-            stage="classify",
-        )
+        collection = _classify(self.collector, corpus, survivors, graded)
+        self._processed("classify", len(graded))
         return {"collection": collection.as_dict()}, {"n_selected": collection.n_final}
 
     # -- generate: Algorithm 1 under faults, partial checkpoints -------- #
@@ -658,13 +671,7 @@ class PipelineRunner:
         dataset = PromptPairDataset(
             pairs=pairs, curated=self.config.generation.curate, n_dropped=n_dropped
         )
-        self._tick += len(done)
-        self._inc(
-            "pas_pipeline_items_total",
-            help="Items processed per pipeline stage.",
-            amount=len(done),
-            stage="dataset",
-        )
+        self._processed("dataset", len(done))
         payload = {"dataset": dataset.as_dict(), "skipped_uids": skipped}
         attrs = {
             "n_pairs": len(pairs),
@@ -697,7 +704,7 @@ class PipelineRunner:
             "classify",
             run_key,
             resume,
-            lambda: self._stage_classify(dedup_payload, quality_payload),
+            lambda: self._stage_classify(corpus, dedup_payload, quality_payload),
         )
         generate_payload, r_generate = self._stage_generate(
             run_key, classify_payload, resume

@@ -20,9 +20,11 @@ different deterministic rendering of the same predicted aspect set:
   the raw prompt.  PAS never degrading a prompt is an *assumption* the
   bandit gets to test per category.
 
-Generation is batched the same way serving is: one
-:meth:`~repro.llm.sft.SftDirectivePredictor.predict_aspects_batch` pass
-per unique prompt, then pure string renders per strategy.
+Serving renders one candidate per request:
+:meth:`~repro.policy.policy.AugmentationPolicy.complement_for` renders
+only the selected strategy, from its memoised aspect prediction.
+:meth:`CandidateGenerator.generate` renders all k for one prompt from one
+``predict_aspects`` call.
 """
 
 from __future__ import annotations
@@ -139,27 +141,3 @@ class CandidateGenerator:
         """Candidate set for one prompt (one ``predict_aspects`` call)."""
         aspects = self.pas.predictor.predict_aspects(prompt_text, embed_cache=embed_cache)
         return self.variants_from_aspects(prompt_text, aspects)
-
-    def generate_batch(
-        self, prompts: Sequence[str], embed_cache=None
-    ) -> list[CandidateSet]:
-        """Candidate sets for a batch: deduped prompts, one
-        ``predict_aspects_batch`` pass, pure renders fanned back out —
-        bit-identical to ``[self.generate(p) for p in prompts]``."""
-        prompts = list(prompts)
-        if not prompts:
-            return []
-        unique: list[str] = []
-        seen: set[str] = set()
-        for text in prompts:
-            if text not in seen:
-                seen.add(text)
-                unique.append(text)
-        aspect_sets = self.pas.predictor.predict_aspects_batch(
-            unique, embed_cache=embed_cache
-        )
-        by_text = {
-            text: self.variants_from_aspects(text, aspects)
-            for text, aspects in zip(unique, aspect_sets)
-        }
-        return [by_text[text] for text in prompts]

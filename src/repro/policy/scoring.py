@@ -17,7 +17,7 @@ doesn't learn from them (it still serves them deterministically).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.judge.judge import LlmJudge
 from repro.world.prompts import SyntheticPrompt
@@ -60,10 +60,9 @@ class PromptResolver:
 class PolicyScorer:
     """Judge-backed scoring for the policy loop.
 
-    Offline (:meth:`score_candidates`): grade k candidate responses for
-    one prompt in one batched judge pass.  Online (:meth:`reward`): grade
-    one served response, or return ``None`` when the prompt can't be
-    resolved to its annotations.
+    :meth:`score` grades one response to a known prompt; :meth:`reward`
+    grades one served response, or returns ``None`` when the prompt can't
+    be resolved to its annotations.
     """
 
     def __init__(self, judge: LlmJudge, resolver: PromptResolver):
@@ -73,12 +72,6 @@ class PolicyScorer:
     def score(self, prompt: SyntheticPrompt, response_text: str) -> float:
         """One seed-pure absolute grade in [0, 5]."""
         return self.judge.absolute_score(prompt, response_text)
-
-    def score_candidates(
-        self, prompt: SyntheticPrompt, responses: Sequence[str]
-    ) -> list[float]:
-        """Batched grades, bit-identical to the scalar loop."""
-        return self.judge.absolute_score_batch(prompt, responses)
 
     def reward(self, prompt_text: str, response_text: str) -> float | None:
         """The online reward for one served response (``None`` off-corpus)."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.context import ExperimentContext, ScaleConfig
+from repro.pipeline.collect import PromptCollector
 
 
 class TestScaleConfig:
@@ -32,6 +33,25 @@ class TestContextCaching:
     def test_benchmarks_cached(self, quick_ctx):
         assert quick_ctx.arena_hard is quick_ctx.arena_hard
         assert quick_ctx.alpaca_eval is quick_ctx.alpaca_eval
+
+    def test_one_collection_for_both_datasets(self, monkeypatch):
+        calls = []
+        collect = PromptCollector.collect
+
+        def counting(self, corpus):
+            calls.append(len(corpus))
+            return collect(self, corpus)
+
+        monkeypatch.setattr(PromptCollector, "collect", counting)
+        tiny = ScaleConfig(
+            n_corpus_prompts=80, arena_suite_size=10, alpaca_suite_size=10,
+            human_eval_per_scenario=2,
+        )
+        ctx = ExperimentContext(scale=tiny, seed=3)
+        curated, raw = ctx.curated_dataset, ctx.raw_dataset
+        assert calls == [80]
+        assert 0 < len(curated) <= len(raw)
+        assert {p.prompt_uid for p in curated} <= {p.prompt_uid for p in raw}
 
     def test_curated_and_raw_differ(self, quick_ctx):
         assert quick_ctx.curated_dataset.mean_label_quality() > (

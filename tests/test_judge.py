@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.base import NoApe
 from repro.core.golden import render_complement
+from repro.judge import judge as judge_module
 from repro.judge.alpaca_eval import AlpacaEvalBenchmark
 from repro.judge.arena_hard import ArenaHardBenchmark
 from repro.judge.judge import JudgeConfig, LlmJudge
@@ -135,18 +136,20 @@ class TestJudge:
         a, b = "response alpha text", "response beta text"
         assert judge.pairwise(prompt, a, b) == judge.pairwise(prompt, a, b)
 
-    def test_absolute_score_batch_bit_parity(self, factory):
-        # The policy layer scores candidate fan-outs through the batch
-        # path; it must agree with the scalar grader bit for bit.
-        judge = LlmJudge()
-        engine = SimulatedLLM("gpt-3.5-turbo-1106")
+    def test_pairwise_assesses_each_response_once(self, factory, monkeypatch):
+        calls = []
+        assess = judge_module.assess_response
+
+        def counting(prompt, response):
+            calls.append(response)
+            return assess(prompt, response)
+
+        monkeypatch.setattr(judge_module, "assess_response", counting)
         prompt = factory.make_prompt()
-        responses = [engine.respond(prompt.text) for _ in range(8)]
-        responses.append("")  # degenerate response grades too
-        batch = judge.absolute_score_batch(prompt, responses)
-        assert batch == [judge.absolute_score(prompt, r) for r in responses]
-        assert all(0.0 <= score <= 5.0 for score in batch)
-        assert judge.absolute_score_batch(prompt, []) == []
+        a, b = "a short answer", "a longer answer with steps and an example"
+        verdict = LlmJudge().pairwise(prompt, a, b)
+        assert sorted(calls) == sorted([a, b])
+        assert 0.0 <= verdict.outcome <= 1.0
 
 
 class TestGradeMemo:
@@ -177,15 +180,6 @@ class TestGradeMemo:
         fresh = [LlmJudge().absolute_score(p, response) for p in (prompt, other)]
         assert grades == fresh * 2
         assert fresh[0] != fresh[1]
-
-    def test_batch_equals_scalar_loop_with_a_warm_memo(self, factory):
-        judge = LlmJudge()
-        engine = SimulatedLLM("gpt-3.5-turbo-1106")
-        prompt = factory.make_prompt()
-        responses = [engine.respond(prompt.text), ""]
-        scalar = [judge.absolute_score(prompt, r) for r in responses]
-        assert judge.absolute_score_batch(prompt, responses) == scalar
-        assert [judge.absolute_score(prompt, r) for r in responses] == scalar
 
 
 class TestBenchmarks:

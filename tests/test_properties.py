@@ -711,9 +711,8 @@ class TestCompletionMemoProperties:
 
 #: Real prompts for the serving property: the planner embeds and augments
 #: them, so they must look like traffic.
-_SERVING_POOL = [
-    PromptFactory(rng=np.random.default_rng(23)).make_prompt().text for _ in range(12)
-]
+_SERVING_FACTORY = PromptFactory(rng=np.random.default_rng(23))
+_SERVING_POOL = [_SERVING_FACTORY.make_prompt().text for _ in range(12)]
 
 
 @st.composite
@@ -773,6 +772,10 @@ def _cache_counters(gateway):
 class TestServingPathProperties:
     """One serving path: the ``ask`` loop, ``ask_batch`` over any
     partition and the engine at ``max_inflight=1`` serve alike."""
+
+    def test_pool_prompts_are_distinct(self):
+        # Distinct prompts make requests compete for the small caches.
+        assert len(set(_SERVING_POOL)) == 12
 
     @given(case=_serving_cases())
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
