@@ -1,8 +1,11 @@
 """Bench — ANN backend comparison: HNSW vs IVF-flat vs exact scan.
 
-The collection pipeline's dedup stage can run on either approximate index;
-this bench measures the recall/latency trade-off that justifies the HNSW
-default (the paper's choice) on clustered prompt embeddings.
+The collection pipeline's dedup stage runs on HNSW (the ``hnsw``,
+``sharded`` and ``auto`` backends of ``deduplicate``; the paper's choice).
+IVF-flat, the classical alternative, is measured here as an ablation: this
+bench records the recall/latency trade-off between the two on clustered
+prompt embeddings.  IVF-flat searches through ``repro.ann.ivf._IvfLists``,
+the same kernel as the sharded index's routed scan.
 """
 
 import numpy as np

@@ -47,11 +47,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_timing import speedup, time_pair
 from check_bench_regression import merge_write
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.hnsw import HnswIndex
 from repro.ann.sharded import ShardedHnswIndex
-from repro.utils.timing import speedup, time_pair
 
 pytestmark = [
     pytest.mark.slow,
@@ -216,9 +216,7 @@ def test_search_speedup_and_recall(built, queries, exact_topk):
     )
     RESULTS["search"] = {
         "mode": sharded.large_shard_search,
-        "route_probes_per_shard": sharded._probe_width(
-            sharded._shards[0]._router_centroid_ids.shape[0]
-        ),
+        "route_probes_per_shard": sharded._probe_width(sharded._router(0).n_lists),
         "single_queries_per_s": single_res.items_per_s,
         "sharded_queries_per_s": sharded_res.items_per_s,
         "speedup": speedup(single_res, sharded_res),

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_timing import speedup, time_pair
 from check_bench_regression import merge_write
 
 from repro import build_default_dataset
@@ -39,7 +40,6 @@ from repro.resilience import CircuitBreaker
 from repro.serve.cache import LruCache
 from repro.serve.gateway import GatewayConfig, PasGateway
 from repro.serve.types import ServeRequest, ServeResponse
-from repro.utils.timing import speedup, time_pair
 from repro.world.prompts import PromptFactory
 
 N_REQUESTS = 240

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bench_timing import speedup, time_pair
 from check_bench_regression import merge_write
 from test_bench_throughput import ScalarReferenceHnsw
 
@@ -44,7 +45,6 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.generate import PairGenerator
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.select import QualityScorer
-from repro.utils.timing import speedup, time_pair
 from repro.utils.unionfind import UnionFind
 from repro.world.prompts import PromptFactory
 

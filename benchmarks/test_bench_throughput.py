@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_timing import median_speedup, speedup, time_call, time_pair
 from check_bench_regression import merge_write
 from repro import build_default_dataset
 from repro.ann.hnsw import HnswIndex
@@ -35,7 +36,6 @@ from repro.obs import Observability
 from repro.serve.gateway import GatewayConfig, PasGateway, derive_stage_timings
 from repro.serve.scheduler import MicroBatcher
 from repro.serve.types import ServeRequest
-from repro.utils.timing import speedup, time_call, time_pair
 from repro.world.prompts import PromptFactory
 
 # Quick-scale workload: large enough that per-call overhead is amortised,
@@ -47,6 +47,8 @@ K = 10
 N_REQUESTS = 240
 N_UNIQUE_PROMPTS = 40
 N_SHARDS = 4
+# Interleaved rounds behind each median-of-ratios gate.
+GATE_ROUNDS = 11
 
 RESULTS: dict[str, object] = {}
 
@@ -440,13 +442,12 @@ def test_sharded_index_throughput(corpus_vectors, query_vectors):
         index.add_batch(corpus_vectors, range(corpus_vectors.shape[0]))
         return index
 
-    single_build = time_call(
-        build_single, label="monolithic build",
-        n_items=corpus_vectors.shape[0], repeats=2, warmup=1,
-    )
-    sharded_build = time_call(
-        build_sharded, label="sharded build",
-        n_items=corpus_vectors.shape[0], repeats=2, warmup=1,
+    # The build margin is thin on a 2-vCPU host, so the gate reads the
+    # median of per-round ratios over interleaved rounds, not a best-of.
+    single_build, sharded_build = time_pair(
+        build_single, build_sharded,
+        labels=("monolithic build", "sharded build"),
+        n_items=corpus_vectors.shape[0], repeats=GATE_ROUNDS,
     )
 
     single = build_single()
@@ -471,7 +472,7 @@ def test_sharded_index_throughput(corpus_vectors, query_vectors):
         "build": {
             "single_vectors_per_s": single_build.items_per_s,
             "sharded_vectors_per_s": sharded_build.items_per_s,
-            "speedup": speedup(single_build, sharded_build),
+            "speedup": median_speedup(single_build, sharded_build),
         },
         "search": {
             "single_queries_per_s": single_search.items_per_s,
@@ -481,7 +482,7 @@ def test_sharded_index_throughput(corpus_vectors, query_vectors):
         "overlap_vs_single_shard": float(overlap),
     }
     assert overlap == 1.0
-    assert speedup(single_build, sharded_build) > 1.0
+    assert median_speedup(single_build, sharded_build) > 1.0
     assert speedup(single_search, sharded_search) > 1.0
 
 
@@ -511,10 +512,12 @@ def test_scheduler_throughput(trained_pas, cold_traffic):
 
     assert serve_scheduled() == serve_scalar()  # partition parity, end to end
 
+    # A thin margin since the scalar ask loop got faster: median of
+    # per-round ratios, as for the sharded build.
     scalar, scheduled = time_pair(
         serve_scalar, serve_scheduled,
         labels=("gateway ask loop (cold)", "micro-batched (cold)"),
-        n_items=len(requests), repeats=3,
+        n_items=len(requests), repeats=GATE_ROUNDS,
     )
     probe = MicroBatcher(max_batch=32, max_wait=8)
     pull_loop(probe)
@@ -523,7 +526,7 @@ def test_scheduler_throughput(trained_pas, cold_traffic):
         "max_wait": probe.max_wait,
         "scalar_requests_per_s": scalar.items_per_s,
         "scheduled_requests_per_s": scheduled.items_per_s,
-        "speedup": speedup(scalar, scheduled),
+        "speedup": median_speedup(scalar, scheduled),
         "batches": probe.stats.batches,
         "mean_batch_size": probe.stats.mean_batch_size,
         "mean_occupancy": probe.stats.mean_occupancy,
@@ -538,7 +541,7 @@ def test_scheduler_throughput(trained_pas, cold_traffic):
         "triggers": probe.stats.triggers,
     }
     assert RESULTS["scheduler"]["mean_wait_ticks"] <= probe.max_wait
-    assert speedup(scalar, scheduled) > 1.0
+    assert median_speedup(scalar, scheduled) > 1.0
 
 
 def test_two_tier_cache_throughput(trained_pas, zipf_traffic):

@@ -41,7 +41,8 @@ arithmetic, sets the price: one 250-row build plus its k-NN graph went
 from 31,308 kernel calls to 250.  Reserving past the limit (as
 ``add_batch`` does for a large batch) drops the table for good, and the
 index runs the table-free path, which the tests use as the oracle.
-External queries, the scans and the int8 code kernel never read the table.
+External queries, the exact and routed scans (the routed one lives in
+:mod:`repro.ann.ivf`) and the int8 code kernel never read the table.
 
 Two result surfaces share one search core: the tuple API (``search`` /
 ``search_batch``, lists of ``(key, distance)`` pairs) and the array API
@@ -72,10 +73,6 @@ __all__ = ["HnswIndex"]
 
 #: First allocation; capacity doubles whenever the table fills.
 _INITIAL_CAPACITY = 64
-
-#: Row-chunk size for the offline router-assignment matmul, bounding the
-#: (chunk x n_centroids) score block's memory whatever the index size.
-_ROUTER_ASSIGN_CHUNK = 8192
 
 #: Largest capacity at which an index keeps its stored-pair distance table,
 #: a ``(capacity, capacity)`` float64 array: 2 MiB at 512 rows.  Reserving
@@ -169,18 +166,6 @@ class HnswIndex:
         # boolean mask per query (node visited iff _visited_mark[nid] == stamp).
         self._visited_mark = np.zeros(0, dtype=np.int64)
         self._visit_stamp = 0
-        # Coarse routing structure for routed scans (see _ensure_router):
-        # ~sqrt(n) sampled rows act as centroids; every row is bucketed
-        # under its nearest centroid.  Rebuilt lazily whenever the element
-        # count changes.
-        self._router_version = -1
-        self._router_centroid_ids = np.zeros(0, dtype=np.intp)
-        self._router_bucket_ids = np.zeros(0, dtype=np.intp)
-        self._router_offsets = np.zeros(1, dtype=np.intp)
-        self._router_rows = np.zeros((0, dim), dtype=np.float32)
-        self._router_bias = np.zeros(0, dtype=np.float32)
-        self._router_centroid_rows = np.zeros((0, dim), dtype=np.float32)
-        self._router_centroid_bias = np.zeros(0, dtype=np.float32)
 
     # ------------------------------------------------------------------ #
     # basic plumbing
@@ -668,201 +653,6 @@ class HnswIndex:
         dists = self._distances_to(query, ids, qnorm)
         order = np.lexsort((ids, dists))[:k]
         return ids[order], dists[order]
-
-    def _ensure_router(self) -> None:
-        """(Re)build the coarse routing structure for :meth:`_routed_scan_raw`.
-
-        ~sqrt(n) stored rows, sampled at a deterministic stride, act as
-        centroids; every row is bucketed under its nearest centroid (one
-        chunked float32 matmul, offline).  Alongside the bucket layout the
-        router keeps a bucket-ordered *contiguous float32 copy* of the rows
-        (normalised for cosine, plus squared norms for l2) so a routed query
-        can rank every candidate with a single dense GEMV instead of a
-        float64 gather — that is the difference between the routed scan
-        beating and losing to the beam at 100k vectors on one core.  The
-        structure is a pure function of the stored vectors, so identical
-        indexes route identically; it is invalidated by any insert
-        (version = element count) and rebuilt on the next routed search.
-        """
-        n = self._count
-        if self._router_version == n:
-            return
-        c = max(1, int(round(math.sqrt(n))))
-        cids = np.unique(np.linspace(0, n - 1, c).round().astype(np.intp))
-        vecs = self._vectors[:n].astype(np.float32)
-        assign = np.empty(n, dtype=np.intp)
-        if self.metric == "cosine":
-            norms = np.maximum(self._norms[:n], 1e-12).astype(np.float32)
-            vecs /= norms[:, None]
-            centroids_t = vecs[cids].T
-            for lo in range(0, n, _ROUTER_ASSIGN_CHUNK):
-                hi = min(n, lo + _ROUTER_ASSIGN_CHUNK)
-                assign[lo:hi] = np.argmax(vecs[lo:hi] @ centroids_t, axis=1)
-        else:
-            sq = np.einsum("ij,ij->i", vecs, vecs)
-            centroids_t = vecs[cids].T
-            centroid_sq = sq[cids]
-            for lo in range(0, n, _ROUTER_ASSIGN_CHUNK):
-                hi = min(n, lo + _ROUTER_ASSIGN_CHUNK)
-                block = centroid_sq[None, :] - 2.0 * (vecs[lo:hi] @ centroids_t)
-                assign[lo:hi] = np.argmin(block, axis=1)
-        order = np.argsort(assign, kind="stable").astype(np.intp)
-        counts = np.bincount(assign, minlength=cids.shape[0])
-        self._router_centroid_ids = cids
-        self._router_bucket_ids = order
-        self._router_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        self._router_rows = np.ascontiguousarray(vecs[order])
-        self._router_centroid_rows = np.ascontiguousarray(vecs[cids])
-        if self.metric == "l2":
-            self._router_bias = sq[order].astype(np.float32)
-            self._router_centroid_bias = centroid_sq.astype(np.float32)
-        else:
-            self._router_bias = np.zeros(0, dtype=np.float32)
-            self._router_centroid_bias = np.zeros(0, dtype=np.float32)
-        self._router_version = n
-
-    def _routed_scan_raw(
-        self, query: np.ndarray, qnorm: float, k: int, n_probes: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Single-query view over :meth:`_routed_scan_batch` (same path)."""
-        ids, dists = self._routed_scan_batch(query[np.newaxis, :], k, n_probes)
-        valid = ids[0] >= 0
-        return ids[0][valid], dists[0][valid]
-
-    def _routed_scan_batch(
-        self, matrix: np.ndarray, k: int, n_probes: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate top-k via the coarse router: probe, score, re-rank.
-
-        Returns ``(node_ids, distances)`` blocks of shape ``(n_queries,
-        k)``, padded with ``-1`` / ``+inf``.  Three stages:
-
-        1. Every query ranks the ~sqrt(n) centroids with one *per-query*
-           float32 GEMV over the contiguous centroid matrix and keeps the
-           ``n_probes`` nearest — bucket choice is therefore bit-identical
-           between the scalar and batched public paths by construction (a
-           GEMM over the whole batch would not be: this BLAS is not
-           row-consistent across batch shapes).
-        2. Queries are grouped *by probed bucket* and each bucket's rows
-           are scored against all its queries with one dense float32 GEMM
-           over the router's contiguous row copy.  This is what makes the
-           routed scan win on one core: each candidate row is read once
-           per *batch* instead of once per *query*.
-        3. Per query, the leading ``k + 32`` pool by float32 score is
-           re-ranked with the exact float64 kernel under the shared
-           ``(distance, node id)`` contract — returned distances are
-           always exact, and only *coverage* is approximate.  The float32
-           scores never decide the final order, so the last-ulp GEMM wobble
-           between batch shapes cannot change the answer unless ~32
-           candidates crowd within ~1e-6 of the pool boundary; an exact
-           float32 tie straddling the boundary falls back to re-ranking
-           every candidate, so mass duplicates keep the deterministic
-           contract.
-
-        ``n_probes >= n_centroids`` (and a query whose probed buckets are
-        all empty) degenerates to the exhaustive scan.
-        """
-        nq = matrix.shape[0]
-        out_ids = np.full((nq, k), -1, dtype=np.intp)
-        out_dists = np.full((nq, k), np.inf, dtype=np.float64)
-        n = self._count
-        if n == 0 or nq == 0:
-            return out_ids, out_dists
-        qnorms = [self._query_norm(row) for row in matrix]
-
-        def fill_row(i: int, ids: np.ndarray, dists: np.ndarray) -> None:
-            out_ids[i, : ids.shape[0]] = ids
-            out_dists[i, : dists.shape[0]] = dists
-
-        self._ensure_router()
-        cids = self._router_centroid_ids
-        c = cids.shape[0]
-        p = min(max(1, n_probes), c)
-        if p >= c:
-            for i in range(nq):
-                fill_row(i, *self._scan_raw(matrix[i], qnorms[i], k))
-            return out_ids, out_dists
-
-        offsets = self._router_offsets
-        bucket_len = offsets[1:] - offsets[:-1]
-        q32 = matrix.astype(np.float32)
-        cmat_t = self._router_centroid_rows.T
-        probes = np.empty((nq, p), dtype=np.intp)
-        for i in range(nq):
-            if self.metric == "l2":
-                centroid_scores = self._router_centroid_bias - np.float32(
-                    2.0
-                ) * (q32[i] @ cmat_t)
-            else:
-                centroid_scores = -(q32[i] @ cmat_t)
-            probes[i] = np.sort(np.argpartition(centroid_scores, p - 1)[:p])
-
-        # Flat per-query candidate segments, pieces laid out in sorted
-        # bucket order; (query, bucket) pairs grouped by bucket for GEMM.
-        pair_q = np.repeat(np.arange(nq, dtype=np.intp), p)
-        pair_b = probes.reshape(-1)
-        pair_len = bucket_len[pair_b].reshape(nq, p)
-        seg_len = pair_len.sum(axis=1)
-        seg_start = np.concatenate(([0], np.cumsum(seg_len)))
-        within = np.zeros_like(pair_len)
-        within[:, 1:] = np.cumsum(pair_len[:, :-1], axis=1)
-        pair_pos = (seg_start[:-1, np.newaxis] + within).reshape(-1)
-        total = int(seg_start[-1])
-        flat_scores = np.empty(total, dtype=np.float32)
-
-        rows = self._router_rows
-        by_bucket = np.argsort(pair_b, kind="stable")
-        b_sorted = pair_b[by_bucket]
-        group_edges = np.concatenate(
-            ([0], np.nonzero(np.diff(b_sorted))[0] + 1, [b_sorted.size])
-        )
-        for g in range(group_edges.size - 1):
-            glo, ghi = group_edges[g], group_edges[g + 1]
-            b = int(b_sorted[glo])
-            lo, hi = int(offsets[b]), int(offsets[b + 1])
-            if hi == lo:
-                continue
-            pairs = by_bucket[glo:ghi]
-            block = q32[pair_q[pairs]] @ rows[lo:hi].T
-            if self.metric == "l2":
-                # |r - q|^2 minus the constant |q|^2: same ranking.
-                scores = self._router_bias[lo:hi][np.newaxis, :] - np.float32(
-                    2.0
-                ) * block
-            else:
-                # Rows are unit-normalised; -dot ranks identically to
-                # cosine distance for any query scale.
-                scores = -block
-            dest = pair_pos[pairs][:, np.newaxis] + np.arange(hi - lo)
-            flat_scores[dest] = scores
-
-        def segment_ids(i: int, positions: np.ndarray) -> np.ndarray:
-            # Map within-segment positions back to node ids through the
-            # per-query piece layout (cheaper than scattering an id copy
-            # alongside every score).
-            piece = np.searchsorted(within[i], positions, side="right") - 1
-            starts = offsets[probes[i][piece]]
-            return self._router_bucket_ids[starts + (positions - within[i][piece])]
-
-        width = k + 32
-        for i in range(nq):
-            s0, s1 = int(seg_start[i]), int(seg_start[i + 1])
-            if s0 == s1:
-                fill_row(i, *self._scan_raw(matrix[i], qnorms[i], k))
-                continue
-            scores = flat_scores[s0:s1]
-            pool = None
-            if scores.shape[0] > width:
-                part = np.argpartition(scores, width - 1)[:width]
-                threshold = scores[part].max()
-                if int(np.count_nonzero(scores <= threshold)) <= width:
-                    pool = segment_ids(i, part)
-            if pool is None:
-                pool = segment_ids(i, np.arange(s1 - s0))
-            dists = self._distances_to(matrix[i], pool, qnorms[i])
-            order = np.lexsort((pool, dists))[:k]
-            fill_row(i, pool[order], dists[order])
-        return out_ids, out_dists
 
     def _search_one(
         self,

@@ -24,13 +24,11 @@ single index would, so the fan-out picks a per-shard strategy by size:
   n a single gather+vecdot over the whole shard is an order of magnitude
   cheaper than walking the graph, and it is exhaustive, so small-corpus
   recall can only improve;
-* a larger shard answers with a *routed* scan
-  (:meth:`~repro.ann.hnsw.HnswIndex._routed_scan_batch`): ~sqrt(n)
-  sampled rows act as coarse centroids, each query probes the nearest
-  few buckets, and queries are grouped *by bucket* so one float32 GEMM
-  scores every bucket's rows against all the queries probing it — each
-  candidate row is read once per batch, not once per query — before the
-  best pool per query is re-ranked with the exact float kernel.  On a
+* a larger shard answers with a *routed* scan, the IVF kernel
+  :class:`~repro.ann.ivf._IvfLists` over ~sqrt(n) of the shard's rows,
+  sampled at a fixed stride, as centroids: one float32 GEMM per probed
+  bucket scores its rows against every query probing it, and each
+  query's best pool is re-ranked with the shard's exact kernel.  On a
   GIL-bound host this beats walking K graphs per query twice over: a
   beam search pays a fixed per-query descent cost (~130 us measured)
   *per shard*, so K descents alone exceed one whole monolithic search,
@@ -66,12 +64,14 @@ executors were measurably more expensive than the work they fanned out.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.ann.hnsw import HnswIndex, _require_finite
+from repro.ann.ivf import _IvfLists, _unit_rows32
 from repro.errors import IndexError_
 from repro.obs import NULL_OBS, Observability
 
@@ -186,6 +186,8 @@ class ShardedHnswIndex:
         self._count = 0
         self._keys_seen: set[int] = set()
         self._pool: ThreadPoolExecutor | None = None
+        # Per shard: (element count it was built at, coarse router).
+        self._routers: list[tuple[int, _IvfLists] | None] = [None] * n_shards
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -251,6 +253,23 @@ class ShardedHnswIndex:
             return self.route_probes
         return max(8, -(-3 * n_centroids // 20))
 
+    def _router(self, shard_idx: int) -> _IvfLists:
+        """The shard's coarse router, rebuilt by the first search after an insert.
+
+        Its centroids, ~sqrt(n) rows sampled at a fixed stride, make it a
+        pure function of the stored vectors: identical shards route alike.
+        """
+        shard = self._shards[shard_idx]
+        n = len(shard)
+        cached = self._routers[shard_idx]
+        if cached is None or cached[0] != n:
+            c = max(1, int(round(math.sqrt(n))))
+            cids = np.unique(np.linspace(0, n - 1, c).round().astype(np.intp))
+            rows = _unit_rows32(shard.vectors, shard.metric, shard._norms[:n])
+            cached = (n, _IvfLists(rows, rows[cids], shard.metric))
+            self._routers[shard_idx] = cached
+        return cached[1]
+
     def _shard_arrays(
         self, shard_idx: int, matrix: np.ndarray, k: int, ef: int | None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,9 +289,12 @@ class ShardedHnswIndex:
             return keys, dists
         if self.large_shard_search == "beam":
             return shard.search_batch_arrays(matrix, k, ef=self._split_ef(k, ef))
-        shard._ensure_router()
-        probes = self._probe_width(shard._router_centroid_ids.shape[0])
-        ids, dists = shard._routed_scan_batch(matrix, k, probes)
+        router = self._router(shard_idx)
+
+        def exact(query: np.ndarray, ids: np.ndarray) -> np.ndarray:
+            return shard._distances_to(query, ids, shard._query_norm(query))
+
+        ids, dists = router.search(matrix, k, self._probe_width(router.n_lists), exact)
         keys = np.full(ids.shape, -1, dtype=np.int64)
         valid = ids >= 0
         keys[valid] = shard._key_arr[ids[valid]]

@@ -1,6 +1,5 @@
 """Deterministic text embeddings (SimCSE/bge stand-in, paper §3.1)."""
 
 from repro.embedding.model import EmbeddingModel
-from repro.embedding.similarity import cosine, cosine_matrix, pairwise_cosine
 
-__all__ = ["EmbeddingModel", "cosine", "cosine_matrix", "pairwise_cosine"]
+__all__ = ["EmbeddingModel"]

@@ -7,6 +7,7 @@ same :class:`ScaleConfig` reproduces every number exactly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +69,9 @@ class ExperimentContext:
         self.scale = scale or ScaleConfig.full()
         self.seed = int(seed)
         self._engines: dict[str, SimulatedLLM] = {}
+        # The methods this context built, by name, and their arm scores.
+        self._methods: dict[str, ApeMethod] = {}
+        self._arm_scores: dict[tuple[str, str], dict[str, float]] = {}
 
     # -------------------------------------------------------------- #
     # data pipeline artifacts
@@ -122,21 +126,32 @@ class ExperimentContext:
             self.raw_dataset
         )
 
-    @cached_property
+    def _method(self, name: str, build: Callable[[], ApeMethod]) -> ApeMethod:
+        """The context's one ``name`` method, built on first use."""
+        if name not in self._methods:
+            self._methods[name] = build()
+        return self._methods[name]
+
+    @property
     def bpo(self) -> BpoModel:
-        return BpoModel(seed=self.seed + 7)
+        return self._method("bpo", lambda: BpoModel(seed=self.seed + 7))
 
     def method_none(self) -> ApeMethod:
-        return NoApe()
+        return self._method("none", NoApe)
 
     def method_pas(self) -> ApeMethod:
-        return PasApe(self.pas)
+        return self._method("pas", lambda: PasApe(self.pas))
 
     def method_pas_llama(self) -> ApeMethod:
-        return PasApe(self.pas_llama_base, name="pas-llama2")
+        return self._method(
+            "pas-llama2", lambda: PasApe(self.pas_llama_base, name="pas-llama2")
+        )
 
     def method_pas_uncurated(self) -> ApeMethod:
-        return PasApe(self.pas_uncurated, name="pas-wo-selection")
+        return self._method(
+            "pas-wo-selection",
+            lambda: PasApe(self.pas_uncurated, name="pas-wo-selection"),
+        )
 
     def engine(self, model: str) -> SimulatedLLM:
         """Target-model engine, cached per name."""
@@ -171,14 +186,27 @@ class ExperimentContext:
     # -------------------------------------------------------------- #
 
     def evaluate_arm(self, model: str, method: ApeMethod) -> dict[str, float]:
-        """Run one (model, method) arm over all three §4.1 benchmarks."""
+        """Run one (model, method) arm over all three §4.1 benchmarks.
+
+        An arm whose method this context built (``bpo`` or a ``method_*``)
+        is a pure function of seed, scale, model and method, so its scores
+        are memoised: table2 and table5 reuse table1's arms.  Any other
+        method object is evaluated on every call, whatever its name.
+        """
+        key = (model, method.name)
+        own = self._methods.get(method.name) is method
+        if own and key in self._arm_scores:
+            return dict(self._arm_scores[key])
         engine = self.engine(model)
         arena = self.arena_hard.evaluate(engine, method)
         alpaca = self.alpaca_eval.evaluate(engine, method)
         average = (arena.score + alpaca.win_rate + alpaca.lc_win_rate) / 3.0
-        return {
+        scores = {
             "arena_hard": arena.score,
             "alpaca_eval": alpaca.win_rate,
             "alpaca_eval_lc": alpaca.lc_win_rate,
             "average": average,
         }
+        if own:
+            self._arm_scores[key] = dict(scores)
+        return scores

@@ -1,7 +1,6 @@
 """Tokenisation and n-gram language modelling substrate."""
 
-from repro.text.bpe import BpeTokenizer
 from repro.text.tokenizer import Tokenizer
 from repro.text.ngram import NgramLanguageModel
 
-__all__ = ["BpeTokenizer", "Tokenizer", "NgramLanguageModel"]
+__all__ = ["Tokenizer", "NgramLanguageModel"]

@@ -1,15 +1,11 @@
 """Shared utilities: deterministic RNG, text processing, IO, statistics."""
 
 from repro.utils.rng import RngFactory, derive_rng, stable_hash
-from repro.utils.timing import TimingResult, speedup, time_call
 from repro.utils.unionfind import UnionFind
 
 __all__ = [
     "RngFactory",
     "derive_rng",
     "stable_hash",
-    "TimingResult",
-    "speedup",
-    "time_call",
     "UnionFind",
 ]

@@ -1,13 +1,10 @@
-"""Capability-profile estimation from observed behaviour.
+"""Capability-profile estimation from observed behaviour, kept as an oracle.
 
-Given only black-box access to an engine (prompt in, text out), estimate
-the behavioural parameters its profile was built from.  This serves two
-purposes:
-
-* **validation** — the tests recover known profiles from behaviour alone,
-  which certifies the engine actually exhibits the parameters it claims;
-* **onboarding** — a user plugging a *new* simulated model into the
-  benchmark suite can measure where it sits relative to the paper's six.
+Given only black-box access to an engine (prompt in, text out),
+:func:`estimate_profile` estimates the behavioural parameters its profile
+was built from.  ``tests/test_llm_calibration.py`` recovers the known
+profiles from behaviour alone, which certifies that the simulated engine
+exhibits the parameters it claims.
 
 Estimation is method-of-moments over annotated probe prompts:
 
@@ -15,8 +12,7 @@ Estimation is method-of-moments over annotated probe prompts:
   unprompted;
 * ``instruction_following`` — fraction of supplied directives (for aspects
   with no cue in the prompt) that show up in the response;
-* ``error_rate`` — flaw sentences per elaboration opportunity;
-* ``verbosity`` — inverted from the mean elaboration count.
+* ``error_rate`` — flaw sentences per elaboration opportunity.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ from repro.llm.engine import SimulatedLLM
 from repro.world.aspects import aspect_names, find_markers
 from repro.world.prompts import PromptFactory
 from repro.world.quality import count_flaws
-
-__all__ = ["ProfileEstimate", "estimate_profile"]
 
 
 @dataclass(frozen=True)

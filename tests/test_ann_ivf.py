@@ -118,3 +118,81 @@ class TestSearch:
         a = _built(points, n_lists=8, seed=3).search(points[0], 5)
         b = _built(points, n_lists=8, seed=3).search(points[0], 5)
         assert a == b
+
+
+class TestRejectsBadInput:
+    """Every call validates before it changes state, as HnswIndex does."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_add_rejects_non_finite_vector(self, bad):
+        points = _points(40, dim=4)
+        index = _built(points, n_lists=4)
+        before = index.search(points[3], 5)
+        vec = np.ones(4)
+        vec[2] = bad
+        with pytest.raises(IndexError_, match="finite"):
+            index.add(vec, key=999)
+        assert len(index) == 40
+        assert index.search(points[3], 5) == before
+        index.add(np.ones(4), key=999)  # the key was not taken
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_search_rejects_non_finite_query(self, bad):
+        index = _built(_points(40, dim=4), n_lists=4)
+        query = np.ones(4)
+        query[0] = bad
+        with pytest.raises(IndexError_, match="finite"):
+            index.search(query, 3)
+
+    def test_train_rejects_non_finite_sample(self):
+        sample = _points(30, dim=4)
+        sample[7, 1] = np.nan
+        index = IvfFlatIndex(dim=4, n_lists=4)
+        with pytest.raises(IndexError_, match="finite"):
+            index.train(sample)
+        assert not index.is_trained
+
+    def test_failed_retrain_keeps_the_quantizer(self):
+        points = _points(40, dim=4)
+        index = _built(points, n_lists=4)
+        before = index.search(points[5], 6)
+        bad = points.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(IndexError_):
+            index.train(bad)
+        assert index.search(points[5], 6) == before
+
+    @pytest.mark.parametrize("n_probe", [0, -1])
+    def test_search_rejects_probe_count_below_one(self, n_probe):
+        index = _built(_points(40, dim=4), n_lists=4)
+        with pytest.raises(IndexError_, match="n_probe"):
+            index.search(np.ones(4), 3, n_probe=n_probe)
+
+    def test_add_rejects_a_stored_key(self):
+        points = _points(20, dim=4)
+        index = _built(points, n_lists=4)
+        with pytest.raises(IndexError_, match="duplicate key 3"):
+            index.add(np.ones(4), key=3)
+        assert len(index) == 20
+        assert index.search(points[3], 1)[0][0] == 3
+
+
+class TestOneKernel:
+    def test_ivf_flat_and_routed_shards_share_the_search(self, monkeypatch):
+        from repro.ann.ivf import _IvfLists
+        from repro.ann.sharded import ShardedHnswIndex
+
+        calls = []
+        search = _IvfLists.search
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return search(self, *args, **kwargs)
+
+        monkeypatch.setattr(_IvfLists, "search", counting)
+        points = _points(200, dim=8, seed=9)
+        _built(points, n_lists=8).search(points[0], 5)
+        sharded = ShardedHnswIndex(dim=8, n_shards=2, scan_threshold=16, seed=1)
+        sharded.add_batch(points)
+        sharded.search(points[0], 5)
+        assert len(calls) == 3  # one IVF-flat search, one per routed shard

@@ -1,4 +1,4 @@
-"""Tests for feature hashing, the embedding model, and similarity ops."""
+"""Tests for feature hashing and the embedding model."""
 
 import sys
 import threading
@@ -8,7 +8,10 @@ import pytest
 
 from repro.embedding.hashing import hash_features
 from repro.embedding.model import EmbeddingModel
-from repro.embedding.similarity import cosine, cosine_matrix, pairwise_cosine
+
+
+def cosine(a, b):
+    return float(a @ b) / float(np.linalg.norm(a) * np.linalg.norm(b))
 
 
 class TestHashFeatures:
@@ -112,35 +115,6 @@ class TestEmbeddingModel:
     def test_case_insensitive(self):
         m = EmbeddingModel()
         assert cosine(m.embed("Hello World"), m.embed("hello world")) == pytest.approx(1.0)
-
-
-class TestSimilarity:
-    def test_cosine_self(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine(v, v) == pytest.approx(1.0)
-
-    def test_cosine_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_cosine_zero_vector(self):
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_cosine_matrix_shape(self):
-        q = np.random.default_rng(0).normal(size=(3, 5))
-        c = np.random.default_rng(1).normal(size=(4, 5))
-        assert cosine_matrix(q, c).shape == (3, 4)
-
-    def test_pairwise_symmetric(self):
-        m = np.random.default_rng(2).normal(size=(5, 8))
-        sims = pairwise_cosine(m)
-        assert np.allclose(sims, sims.T)
-        assert np.allclose(np.diag(sims), 1.0)
-
-    def test_cosine_matrix_bounds(self):
-        m = np.random.default_rng(3).normal(size=(6, 4))
-        sims = cosine_matrix(m, m)
-        assert (sims <= 1.0 + 1e-9).all()
-        assert (sims >= -1.0 - 1e-9).all()
 
 
 class TestEmbedBatchParity:

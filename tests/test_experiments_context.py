@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.baselines.base import NoApe
+from repro.core.plug import PasApe
 from repro.experiments.context import ExperimentContext, ScaleConfig
+from repro.judge.alpaca_eval import AlpacaEvalBenchmark
+from repro.judge.arena_hard import ArenaHardBenchmark
 from repro.pipeline.collect import PromptCollector
+
+_TINY = ScaleConfig(
+    n_corpus_prompts=80, arena_suite_size=10, alpaca_suite_size=10,
+    human_eval_per_scenario=2,
+)
 
 
 class TestScaleConfig:
@@ -43,11 +52,7 @@ class TestContextCaching:
             return collect(self, corpus)
 
         monkeypatch.setattr(PromptCollector, "collect", counting)
-        tiny = ScaleConfig(
-            n_corpus_prompts=80, arena_suite_size=10, alpaca_suite_size=10,
-            human_eval_per_scenario=2,
-        )
-        ctx = ExperimentContext(scale=tiny, seed=3)
+        ctx = ExperimentContext(scale=_TINY, seed=3)
         curated, raw = ctx.curated_dataset, ctx.raw_dataset
         assert calls == [80]
         assert 0 < len(curated) <= len(raw)
@@ -69,8 +74,39 @@ class TestEvaluateArm:
 
     def test_deterministic(self, quick_ctx):
         a = quick_ctx.evaluate_arm("gpt-4-0613", quick_ctx.method_none())
-        b = quick_ctx.evaluate_arm("gpt-4-0613", quick_ctx.method_none())
+        # A method the context did not build is evaluated afresh.
+        b = quick_ctx.evaluate_arm("gpt-4-0613", NoApe())
         assert a == b
+
+    def test_each_built_arm_runs_its_benchmarks_once(self, monkeypatch):
+        calls = []
+        for bench in (ArenaHardBenchmark, AlpacaEvalBenchmark):
+            def counting(self, engine, method, _evaluate=bench.evaluate):
+                calls.append((type(self).__name__, engine.name, method.name))
+                return _evaluate(self, engine, method)
+
+            monkeypatch.setattr(bench, "evaluate", counting)
+        ctx = ExperimentContext(scale=_TINY, seed=3)
+        assert ctx.method_pas() is ctx.method_pas()
+        first = ctx.evaluate_arm("gpt-4-0613", ctx.method_pas())
+        assert len(calls) == 2
+        again = ctx.evaluate_arm("gpt-4-0613", ctx.method_pas())
+        assert len(calls) == 2
+        foreign = ctx.evaluate_arm("gpt-4-0613", PasApe(ctx.pas))
+        assert calls[2:] == [
+            ("ArenaHardBenchmark", "gpt-4-0613", "pas"),
+            ("AlpacaEvalBenchmark", "gpt-4-0613", "pas"),
+        ]
+        assert first == again == foreign
+        ctx.evaluate_arm("gpt-3.5-turbo-1106", ctx.method_pas())
+        assert len(calls) == 6
+
+    def test_memoised_scores_cannot_be_mutated_by_a_caller(self):
+        ctx = ExperimentContext(scale=_TINY, seed=3)
+        scores = ctx.evaluate_arm("gpt-4-0613", ctx.method_none())
+        expected = dict(scores)
+        scores["average"] = -1.0
+        assert ctx.evaluate_arm("gpt-4-0613", ctx.method_none()) == expected
 
 
 class TestSeedSeparation:

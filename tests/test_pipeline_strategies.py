@@ -85,13 +85,13 @@ class TestMods:
 
     def test_more_diverse_than_top_quality(self, pool):
         from repro.embedding.model import EmbeddingModel
-        from repro.embedding.similarity import pairwise_cosine
 
         embedder = EmbeddingModel()
 
         def mean_pairwise_sim(indices):
             mat = embedder.embed_batch([pool[i].prompt.text for i in indices])
-            sims = pairwise_cosine(mat)
+            unit = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+            sims = unit @ unit.T
             n = len(indices)
             return (sims.sum() - n) / (n * (n - 1))
 

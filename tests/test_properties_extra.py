@@ -8,30 +8,6 @@ from hypothesis import strategies as st
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.cluster.kmeans import kmeans
 from repro.serve.cache import LruCache
-from repro.text.bpe import BpeTokenizer
-
-_WORDS = st.lists(
-    st.text(alphabet="abcdefghij", min_size=1, max_size=8), min_size=1, max_size=12
-)
-
-
-class TestBpeProperties:
-    @given(_WORDS)
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_any_words(self, words):
-        bpe = BpeTokenizer(n_merges=30).fit(["aa ab ba bb abab baba"])
-        text = " ".join(words)
-        assert bpe.decode(bpe.encode(text)) == text
-
-    @given(_WORDS)
-    @settings(max_examples=40, deadline=None)
-    def test_token_count_bounded_by_characters(self, words):
-        bpe = BpeTokenizer(n_merges=10).fit(["abc def ghi"])
-        text = " ".join(words)
-        n_chars = sum(len(w) for w in words)
-        # One EOW symbol per word; merges only reduce counts.
-        assert bpe.count(text) <= n_chars + len(words)
-
 
 class TestNaiveBayesProperties:
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=4, max_value=20))

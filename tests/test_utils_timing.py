@@ -6,9 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.utils.timing import StageTimer, TimingResult, speedup, time_call, time_pair
+from repro.utils.timing import StageTimer
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from bench_timing import (  # noqa: E402
+    TimingResult,
+    median_speedup,
+    speedup,
+    time_call,
+    time_pair,
+)
 from check_bench_regression import (  # noqa: E402
     collect_cost_ratios,
     collect_overheads,
@@ -161,6 +168,40 @@ class TestSpeedup:
         slow = TimingResult(label="s", n_items=10, repeats=1, best_s=2.0, mean_s=2.0)
         fast = TimingResult(label="f", n_items=20, repeats=1, best_s=1.0, mean_s=1.0)
         assert speedup(slow, fast) == pytest.approx(4.0)
+
+
+class TestMedianSpeedup:
+    @staticmethod
+    def _result(times, n_items=1):
+        return TimingResult(
+            label="r", n_items=n_items, repeats=len(times),
+            best_s=min(times), mean_s=sum(times) / len(times), times_s=tuple(times),
+        )
+
+    def test_median_of_per_round_ratios(self):
+        base = self._result([2.0, 2.0, 9.0], n_items=10)
+        cont = self._result([1.0, 4.0, 1.0], n_items=20)
+        # Per-item ratios by round: 4.0, 1.0, 18.0.
+        assert median_speedup(base, cont) == pytest.approx(4.0)
+
+    def test_one_noisy_round_does_not_decide_it(self):
+        base = self._result([1.0, 1.0, 1.0, 1.0, 0.2])
+        cont = self._result([0.5, 0.5, 0.5, 0.5, 0.5])
+        assert median_speedup(base, cont) == pytest.approx(2.0)
+        assert speedup(base, cont) < 1.0
+
+    def test_time_pair_keeps_every_round(self):
+        base, cont = time_pair(lambda: None, lambda: None, repeats=4)
+        assert len(base.times_s) == len(cont.times_s) == 4
+        assert min(base.times_s) == base.best_s
+        assert len(time_call(lambda: None, repeats=3).times_s) == 3
+
+    def test_rejects_results_without_matching_rounds(self):
+        with pytest.raises(ValueError):
+            median_speedup(self._result([1.0, 1.0]), self._result([1.0]))
+        bare = TimingResult(label="b", n_items=1, repeats=1, best_s=1.0, mean_s=1.0)
+        with pytest.raises(ValueError):
+            median_speedup(bare, bare)
 
 
 class TestBenchRegressionGate:
