@@ -11,9 +11,10 @@ throughput bench uses:
   1.05x: observability that is off must be within noise of free.
 * ``tracing_on_cost_ratio`` — per-request cost with a fully live
   :class:`~repro.obs.Observability` bundle (tracer + registry + events)
-  relative to the same gateway with observability off.  A live tracer is
-  allowed to cost something, so the regression gate's ceiling for it is
-  a looser 1.5x.
+  relative to the same gateway with observability off, as the median of
+  per-round ratios over interleaved rounds.  A live tracer is allowed to
+  cost something, so the regression gate's ceiling for it is a looser
+  1.5x.
 
 Results merge into ``BENCH_serving.json`` next to the throughput keys:
 
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bench_timing import speedup, time_pair
+from bench_timing import median_speedup, speedup, time_pair
 from check_bench_regression import merge_write
 
 from repro import build_default_dataset
@@ -44,6 +45,8 @@ from repro.world.prompts import PromptFactory
 
 N_REQUESTS = 240
 N_UNIQUE_PROMPTS = 40
+# Interleaved rounds behind the median-of-ratios tracing-cost gate.
+GATE_ROUNDS = 11
 
 RESULTS: dict[str, object] = {}
 
@@ -205,14 +208,17 @@ def test_tracing_on_cost(trained_pas, zipf_requests):
 
     assert serve_on() == serve_off()  # tracing never touches results
 
+    # With another process on the second core one best-of-N ratio can
+    # cross the 1.5 ceiling on unchanged code, so the gate reads the
+    # median of per-round ratios over interleaved rounds.
     off, on = time_pair(
         serve_off,
         serve_on,
         labels=("tracing off", "tracing on"),
         n_items=len(zipf_requests),
-        repeats=5,
+        repeats=GATE_ROUNDS,
     )
-    ratio = speedup(on, off)  # on_per_item / off_per_item
+    ratio = median_speedup(on, off)  # median of on_per_item / off_per_item
     RESULTS["obs"] = {
         **RESULTS.get("obs", {}),
         "tracing_on_cost_ratio": ratio,

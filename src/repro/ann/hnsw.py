@@ -26,23 +26,37 @@ It holds for C-contiguous queries only, so every public entry point makes
 its query contiguous once.
 
 Distances between two *stored* rows are read from a table.  While its
-capacity is at most ``_PAIR_LIMIT`` (512) rows, an index keeps a
-``(capacity, capacity)`` float64 table, 2 MiB at the limit.  Storing row
+capacity is at most ``_PAIR_LIMIT`` (2048) rows, an index keeps a
+``(capacity, capacity)`` float64 table, 32 MiB at the limit.  Storing row
 ``i`` fills row and column ``i`` with one kernel call over rows ``0..i``,
 self-distance included.  From then on, every distance whose query is a
-stored row is a table read (:meth:`HnswIndex._exact_kernel`,
-:meth:`HnswIndex._stored_distances`): the float traversal in ``add``, the
-kept-neighbour rows of the heuristic, the overflow row in ``_link`` and
-every search in ``knn_graph``.  The bits
+stored row is a table read (:meth:`HnswIndex._stored_distances`).  A
+float traversal from a stored row takes that row once, as a Python list,
+and reads ``row[nb]`` per visited neighbour
+(:meth:`HnswIndex._query_kernel`): every insert's greedy descent and
+construction beams, and every search in ``knn_graph``.  Neighbour
+selection over at most ``_MASK_WIDTH`` candidates, which covers every
+``_link`` overflow, takes its dominance tests from one gather of the
+candidates' pairwise sub-table, as one bitmask per candidate.  The bits
 cannot differ from the kernel's: the table holds the kernel's own values,
 and by the pairwise property each is the value any other call would
 compute for that pair.  At dedup sizes a call's fixed cost, not its
 arithmetic, sets the price: one 250-row build plus its k-NN graph went
-from 31,308 kernel calls to 250.  Reserving past the limit (as
-``add_batch`` does for a large batch) drops the table for good, and the
-index runs the table-free path, which the tests use as the oracle.
-External queries, the exact and routed scans (the routed one lives in
+from 31,308 kernel calls to 250, and a visited node costs a list read
+instead of a numpy call.  Reserving past the limit (as ``add_batch``
+does for a large batch) drops the table for good, and the index runs the
+table-free path, which the tests use as the oracle.  External queries,
+the exact and routed scans (the routed one lives in
 :mod:`repro.ann.ivf`) and the int8 code kernel never read the table.
+
+Two beams serve layer 0.  ``_search_layer``, over the list adjacency and
+a visited set, runs construction on every layer and each ``knn_graph``
+row of a float index holding its table.  ``_search_layer0``, over packed
+adjacency arrays and a reusable visited-stamp array, runs every other
+search: external queries, int8 traversal and the table-free path, where
+each batch of fresh ids costs a kernel call anyway.  Both visit in the
+same order with the same push and evict rule, so either returns the same
+results bit for bit.
 
 Two result surfaces share one search core: the tuple API (``search`` /
 ``search_batch``, lists of ``(key, distance)`` pairs) and the array API
@@ -61,6 +75,7 @@ the recall tests pin it against :class:`~repro.ann.bruteforce.BruteForceIndex`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections.abc import Iterable, Sequence
@@ -75,9 +90,16 @@ __all__ = ["HnswIndex"]
 _INITIAL_CAPACITY = 64
 
 #: Largest capacity at which an index keeps its stored-pair distance table,
-#: a ``(capacity, capacity)`` float64 array: 2 MiB at 512 rows.  Reserving
-#: past it drops the table for good (see :meth:`HnswIndex._reserve`).
-_PAIR_LIMIT = 512
+#: a ``(capacity, capacity)`` float64 array: 32 MiB at 2048 rows, so the
+#: paper-scale 1,600-row dedup keeps it.  Reserving past it drops the table
+#: for good (see :meth:`HnswIndex._reserve`).
+_PAIR_LIMIT = 2048
+
+#: Candidate sets of at most this many ids prune from one gather of their
+#: pairwise sub-table, one bitmask word per candidate
+#: (see :meth:`HnswIndex._select_neighbors`).
+_MASK_WIDTH = 64
+_BITS = np.left_shift(np.uint64(1), np.arange(_MASK_WIDTH, dtype=np.uint64))
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -287,41 +309,42 @@ class HnswIndex:
         near_zero = denom < 1e-12
         return np.where(near_zero, 1.0, 1.0 - dots / np.where(near_zero, 1.0, denom))
 
-    def _exact_kernel(self, query: np.ndarray, qnorm: float, node: int | None = None):
-        """Exact distances from one query: ``kernel(ids) -> distances``.
-
-        When the query is stored row ``node`` and the index keeps its pair
-        table, the kernel reads row ``node`` of it; otherwise it binds
-        :meth:`_distances_to`.  The bits are the same either way: the table
-        holds that kernel's own values, and each one depends on its pair
-        alone.
-        """
-        if node is not None and self._pairs is not None:
-            return self._pairs[node].__getitem__
-        return lambda ids: self._distances_to(query, ids, qnorm)
-
     def _stored_distances(self, node: int, ids) -> np.ndarray:
         """Exact distances from stored row ``node`` to stored rows ``ids``:
-        :meth:`_exact_kernel`'s choice, without binding a kernel."""
+        a gather from the pair table while the index keeps one, otherwise
+        one :meth:`_distances_to` call.  The bits are the same either way:
+        the table holds that kernel's own values, and each one depends on
+        its pair alone."""
         if self._pairs is not None:
             return self._pairs[node, ids]
         return self._distances_to(self._vectors[node], ids, self._norms[node])
 
-    def _query_kernel(self, query: np.ndarray, qnorm: float, node: int | None = None):
-        """Traversal kernel bound to one query: ``kernel(ids) -> distances``.
+    def _reads_row(self, node: int | None) -> bool:
+        """Whether a float traversal from stored row ``node`` reads its
+        distances from one Python row of the pair table."""
+        return node is not None and self._pairs is not None and not self._quantized
 
-        Float mode binds the exact kernel (the pair table's row when the
-        query is stored row ``node``); int8 mode quantises the query once
-        and binds the code kernel.  Every traversal routine (greedy descent,
-        beam search on any layer) goes through the kernel, so the modes
-        share identical control flow.
+    def _query_kernel(self, query: np.ndarray, qnorm: float, node: int | None = None):
+        """Traversal kernel bound to one query: ``kernel(ids)`` yields the
+        distances to ``ids``, in order, as Python floats.
+
+        When :meth:`_reads_row` holds, the kernel maps ids through row
+        ``node`` of the pair table, taken once per query as a Python list,
+        so a visited node costs a list read and no numpy call.  Otherwise
+        float mode binds :meth:`_distances_to` and int8 mode quantises the
+        query once and binds the code kernel, one numpy call per batch of
+        ids.  Every traversal routine (greedy descent, both beams) goes
+        through the kernel, so the modes share identical control flow.
         """
+        if self._reads_row(node):
+            row = self._pairs[node, : self._count].tolist()
+            return functools.partial(map, row.__getitem__)
         if not self._quantized:
-            return self._exact_kernel(query, qnorm, node)
+            return lambda ids: self._distances_to(query, ids, qnorm).tolist()
         codes, qscale = self._quantize(query)
         qcodes = codes.astype(np.float64)
         qsq = float(query @ query) if self.metric == "l2" else 0.0
-        return lambda ids: self._qdistances_to(qcodes, qscale, qnorm, qsq, ids)
+        return lambda ids: self._qdistances_to(qcodes, qscale, qnorm, qsq, ids).tolist()
 
     def _draw_level(self) -> int:
         u = float(self._rng.random())
@@ -335,29 +358,40 @@ class HnswIndex:
     def _greedy_descend(
         self, kernel, curr: int, d_curr: float, layer: int
     ) -> tuple[int, float]:
-        """Move to the closest neighbour until no neighbour improves."""
+        """Move to the closest neighbour until no neighbour improves.
+
+        Of equally close neighbours the first in the list wins, the one
+        ``argmin`` would pick.
+        """
+        neighbors = self._neighbors
         while True:
-            nbrs = self._neighbors[curr][layer]
+            nbrs = neighbors[curr][layer]
             if not nbrs:
                 return curr, d_curr
-            dists = kernel(nbrs)
-            best = int(np.argmin(dists))
-            if dists[best] < d_curr:
-                curr = nbrs[best]
-                d_curr = float(dists[best])
-            else:
+            best = curr
+            for d, nb in zip(kernel(nbrs), nbrs):
+                if d < d_curr:
+                    best, d_curr = nb, d
+            if best == curr:
                 return curr, d_curr
+            curr = best
 
     def _search_layer(
         self, kernel, entry_ids: list[int], ef: int, layer: int
     ) -> list[tuple[float, int]]:
-        """Beam search on one layer; returns (distance, node_id), unsorted."""
+        """Beam search on one layer; returns (distance, node_id), unsorted.
+
+        Serves construction on every layer and the layer-0 search of a
+        query that :meth:`_reads_row` (each ``knn_graph`` row of a table
+        index): the kernel then reads one Python row, so the list adjacency
+        and a visited set cost less than the packed arrays' numpy calls.
+        """
         visited = set(entry_ids)
         # candidates: min-heap by distance; results: max-heap via negation
         candidates: list[tuple[float, int]] = []
         results: list[tuple[float, int]] = []
         push, pop = heapq.heappush, heapq.heappop
-        for d, nid in zip(kernel(entry_ids).tolist(), entry_ids):
+        for d, nid in zip(kernel(entry_ids), entry_ids):
             push(candidates, (d, nid))
             push(results, (-d, nid))
         neighbors = self._neighbors
@@ -369,7 +403,7 @@ class HnswIndex:
             if not fresh:
                 continue
             visited.update(fresh)
-            for d, nb in zip(kernel(fresh).tolist(), fresh):
+            for d, nb in zip(kernel(fresh), fresh):
                 if len(results) < ef or d < -results[0][0]:
                     push(candidates, (d, nb))
                     push(results, (-d, nb))
@@ -404,14 +438,15 @@ class HnswIndex:
     def _search_layer0(
         self, kernel, entry_ids: list[int], ef: int
     ) -> list[tuple[float, int]]:
-        """Layer-0 beam search over the packed adjacency (read-only paths).
+        """Layer-0 beam search over the packed adjacency (external queries,
+        int8 traversal and the table-free path).
 
         Mirrors :meth:`_search_layer` exactly — same visit order through
         the same distance kernel, so the same results bit for bit — but
         gathers neighbours from the packed arrays and tracks visited nodes
         with a reusable stamp array instead of a set (``mark[nid] == stamp``
-        means visited; bumping the stamp clears all marks for free), which
-        is what makes the batched search paths fast.
+        means visited; bumping the stamp clears all marks for free).  That
+        pays off when each batch of fresh ids costs a kernel call anyway.
         """
         rows = self._packed0
         counts = self._packed0_counts
@@ -420,10 +455,9 @@ class HnswIndex:
         mark = self._visited_mark
         entry_idx = np.asarray(entry_ids, dtype=np.intp)
         mark[entry_idx] = stamp
-        entry_dists = kernel(entry_idx)
         candidates: list[tuple[float, int]] = []
         results: list[tuple[float, int]] = []
-        for d, nid in zip(entry_dists.tolist(), entry_ids):
+        for d, nid in zip(kernel(entry_idx), entry_ids):
             heapq.heappush(candidates, (d, nid))
             heapq.heappush(results, (-d, nid))
         push, pop = heapq.heappush, heapq.heappop
@@ -436,8 +470,7 @@ class HnswIndex:
             if fresh.size == 0:
                 continue
             mark[fresh] = stamp
-            dists = kernel(fresh)
-            for d, nb in zip(dists.tolist(), fresh.tolist()):
+            for d, nb in zip(kernel(fresh), fresh.tolist()):
                 if len(results) < ef or d < -results[0][0]:
                     push(candidates, (d, nb))
                     push(results, (-d, nb))
@@ -455,32 +488,46 @@ class HnswIndex:
         already kept; if fewer than ``m`` survive, the nearest rejected
         candidates backfill the list.
 
-        The kernel computes one distance row per *kept* neighbour, not
-        one per examined candidate.  Keeping ``s`` measures ``dist(s, c)``
-        for every later candidate ``c`` still in play, in one call, and
-        drops each ``c`` with ``dist(s, c) < d(c)``.  A candidate is thus
-        rejected iff some earlier kept neighbour is closer to it than the
-        query is, which is the per-candidate test, because the kernel is
-        symmetric and independent of the gather (see
-        :meth:`_distances_to`).
+        No distance is measured per examined candidate.  With the pair
+        table and at most ``_MASK_WIDTH`` candidates (every ``_link``
+        overflow), one gather of the candidates' pairwise sub-table gives
+        each candidate ``c`` a bitmask of the candidates ``s`` with
+        ``dist(s, c) < d(c)``, and the walk rejects ``c`` iff its mask
+        meets the kept set.  Otherwise the kernel computes one distance
+        row per *kept* neighbour: keeping ``s`` measures ``dist(s, c)`` for
+        every later candidate ``c`` still in play, in one call, and drops
+        each ``c`` with ``dist(s, c) < d(c)``.  Both are the per-candidate
+        test, because the kernel is symmetric and independent of the
+        gather (see :meth:`_distances_to`).
         """
         ordered = sorted(candidates)
         n = len(ordered)
-        ids = np.array([nid for _, nid in ordered], dtype=np.intp)
+        ids = [nid for _, nid in ordered]
+        idx = np.array(ids, dtype=np.intp)
         dists = np.array([d for d, _ in ordered], dtype=np.float64)
         kept: list[int] = []  # positions in ``ordered``
-        alive = np.arange(n)  # positions not yet kept or rejected
-        while alive.size and len(kept) < m:
-            head, rest = int(alive[0]), alive[1:]
-            kept.append(head)
-            if rest.size and len(kept) < m:
-                row = self._stored_distances(ids[head], ids[rest])
-                rest = rest[~(row < dists[rest])]
-            alive = rest
+        if self._pairs is not None and n <= _MASK_WIDTH:
+            closer = self._pairs[idx[:, None], idx] < dists
+            kept_bits = 0
+            for c, beaten_by in enumerate(_BITS[:n].dot(closer).tolist()):
+                if not beaten_by & kept_bits:
+                    kept.append(c)
+                    if len(kept) == m:
+                        break
+                    kept_bits |= 1 << c
+        else:
+            alive = np.arange(n)  # positions not yet kept or rejected
+            while alive.size and len(kept) < m:
+                head, rest = int(alive[0]), alive[1:]
+                kept.append(head)
+                if rest.size and len(kept) < m:
+                    row = self._stored_distances(idx[head], idx[rest])
+                    rest = rest[~(row < dists[rest])]
+                alive = rest
         if len(kept) < m:  # backfill with the nearest rejected candidates
             taken = set(kept)
             kept += [i for i in range(n) if i not in taken][: m - len(kept)]
-        return ids[kept].tolist()
+        return [ids[i] for i in kept]
 
     def _link(self, source: int, target: int, layer: int, cap: int) -> None:
         """Add a directed edge, shrinking with the heuristic if over capacity."""
@@ -513,7 +560,9 @@ class HnswIndex:
 
         While the index keeps its pair table, one kernel call over rows
         ``0..i`` fills row and column ``i`` (self-distance included), and
-        every later distance whose query is a stored row reads the table.
+        every later distance whose query is a stored row reads the table:
+        the new row's greedy descent and construction beams read it as one
+        Python list.
         """
         self._keys_seen.add(key)
         level = self._draw_level()
@@ -548,7 +597,7 @@ class HnswIndex:
 
         # 1. greedy descent through layers above the new node's level
         curr = entry
-        d_curr = float(kernel([curr])[0])
+        (d_curr,) = kernel([curr])
         for layer in range(top, level, -1):
             curr, d_curr = self._greedy_descend(kernel, curr, d_curr, layer)
 
@@ -612,22 +661,34 @@ class HnswIndex:
         kernel and the surviving candidate set is re-ranked here with the
         exact float kernel before the top-k cut, so returned distances are
         always exact.  ``node`` names the stored row that ``query`` is, if
-        any, so its exact distances come from the pair table.
+        any, so its exact distances come from the pair table; a float query
+        that :meth:`_reads_row` runs layer 0 on :meth:`_search_layer` over
+        the list adjacency, and every other query on the packed
+        :meth:`_search_layer0`.
         """
         assert self._entry is not None
-        self._ensure_packed()
+        reads_row = self._reads_row(node)
+        if not reads_row:
+            self._ensure_packed()
         width = max(ef if ef is not None else self.ef_search, k)
         kernel = self._query_kernel(query, qnorm, node)
         curr = self._entry
         top = len(self._neighbors[curr]) - 1
         if top > 0:
-            d_curr = float(kernel([curr])[0])
+            (d_curr,) = kernel([curr])
             for layer in range(top, 0, -1):
                 curr, d_curr = self._greedy_descend(kernel, curr, d_curr, layer)
-        found = self._search_layer0(kernel, [curr], width)
+        if reads_row:
+            found = self._search_layer(kernel, [curr], width, 0)
+        else:
+            found = self._search_layer0(kernel, [curr], width)
         ids = np.fromiter((nid for _, nid in found), dtype=np.intp, count=len(found))
         if self._quantized:
-            dists = self._exact_kernel(query, qnorm, node)(ids)
+            dists = (
+                self._distances_to(query, ids, qnorm)
+                if node is None
+                else self._stored_distances(node, ids)
+            )
         else:
             dists = np.fromiter(
                 (d for d, _ in found), dtype=np.float64, count=len(found)
@@ -747,8 +808,9 @@ class HnswIndex:
         """k-NN lists for every indexed element (self-match excluded).
 
         Queries the stored rows directly (no copies, cached norms), so
-        every exact distance of the bulk pass is a pair-table read while
-        the index keeps one.
+        while the index keeps its pair table each float query takes its
+        distances as one Python row of it and makes no numpy call per
+        visited node.
         """
         if k < 1:
             raise IndexError_(f"k must be >= 1, got {k}")

@@ -18,7 +18,7 @@ from repro.baselines.bpo import BpoModel
 from repro.core.pas import PasModel
 from repro.core.plug import PasApe
 from repro.judge.alpaca_eval import AlpacaEvalBenchmark
-from repro.judge.arena_hard import ArenaHardBenchmark
+from repro.judge.arena_hard import ArenaHardBenchmark, ArenaHardResult
 from repro.judge.suites import (
     BenchmarkSuite,
     build_alpaca_suite,
@@ -69,9 +69,10 @@ class ExperimentContext:
         self.scale = scale or ScaleConfig.full()
         self.seed = int(seed)
         self._engines: dict[str, SimulatedLLM] = {}
-        # The methods this context built, by name, and their arm scores.
+        # The methods this context built, by name, and their arm results.
         self._methods: dict[str, ApeMethod] = {}
         self._arm_scores: dict[tuple[str, str], dict[str, float]] = {}
+        self._arena_results: dict[tuple[str, str], ArenaHardResult] = {}
 
     # -------------------------------------------------------------- #
     # data pipeline artifacts
@@ -185,6 +186,27 @@ class ExperimentContext:
     # the shared evaluation primitive
     # -------------------------------------------------------------- #
 
+    def _owns(self, method: ApeMethod) -> bool:
+        """Whether ``method`` is the one this context built under its name."""
+        return self._methods.get(method.name) is method
+
+    def arena_hard_result(self, model: str, method: ApeMethod) -> ArenaHardResult:
+        """One arm's Arena-Hard result, per-prompt outcomes included.
+
+        Memoised under :meth:`evaluate_arm`'s rule, so table1 and the
+        significance harness judge each built arm once.  The result is a
+        frozen dataclass holding its outcomes as a tuple: a caller cannot
+        change the memo through it.
+        """
+        key = (model, method.name)
+        own = self._owns(method)
+        if own and key in self._arena_results:
+            return self._arena_results[key]
+        result = self.arena_hard.evaluate(self.engine(model), method)
+        if own:
+            self._arena_results[key] = result
+        return result
+
     def evaluate_arm(self, model: str, method: ApeMethod) -> dict[str, float]:
         """Run one (model, method) arm over all three §4.1 benchmarks.
 
@@ -194,12 +216,11 @@ class ExperimentContext:
         method object is evaluated on every call, whatever its name.
         """
         key = (model, method.name)
-        own = self._methods.get(method.name) is method
+        own = self._owns(method)
         if own and key in self._arm_scores:
             return dict(self._arm_scores[key])
-        engine = self.engine(model)
-        arena = self.arena_hard.evaluate(engine, method)
-        alpaca = self.alpaca_eval.evaluate(engine, method)
+        arena = self.arena_hard_result(model, method)
+        alpaca = self.alpaca_eval.evaluate(self.engine(model), method)
         average = (arena.score + alpaca.win_rate + alpaca.lc_win_rate) / 3.0
         scores = {
             "arena_hard": arena.score,

@@ -79,9 +79,9 @@ def run(ctx: ExperimentContext) -> SignificanceResult:
     }
     result = SignificanceResult()
     for model in TARGET_MODELS:
-        engine = ctx.engine(model)
+        # The same memoised runs table1 scores its Arena-Hard column from.
         outcomes = {
-            name: list(ctx.arena_hard.evaluate(engine, method).outcomes)
+            name: list(ctx.arena_hard_result(model, method).outcomes)
             for name, method in methods.items()
         }
         cis = {

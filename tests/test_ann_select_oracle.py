@@ -13,6 +13,9 @@ the inputs whose last-ulp distances a non-symmetric kernel would flip.
 import numpy as np
 import pytest
 
+from unittest import mock
+
+from repro.ann import hnsw
 from repro.ann.hnsw import HnswIndex
 from repro.embedding.model import EmbeddingModel
 from repro.world.prompts import CorpusConfig, PromptFactory
@@ -114,6 +117,39 @@ class TestSelectionsMatchReference:
                 assert index._select_neighbors(candidates, m) == (
                     reference_select_neighbors(index, candidates, m)
                 ), (trial, m)
+
+
+class TestSmallSetSelection:
+    """With the pair table, a set of at most ``_MASK_WIDTH`` candidates
+    (every ``_link`` overflow) prunes from one gather of its pairwise
+    sub-table, as per-candidate bitmasks, and measures no distance row."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_bitmask_walk_matches_reference_on_equal_distances(self, metric):
+        rows = _copies_and_zeros(seed=2, n_base=40, dim=6)
+        index = _build(HnswIndex, rows, metric, "none", m=4)
+        assert index._pairs is not None
+        n_rows = len(index)
+        rng = np.random.default_rng(11)
+        ties = 0
+        with mock.patch.object(
+            HnswIndex, "_stored_distances", autospec=True,
+            side_effect=HnswIndex._stored_distances,
+        ) as rows_measured:
+            for trial in range(150):
+                anchor = int(rng.integers(n_rows))
+                others = [i for i in range(n_rows) if i != anchor]
+                size = int(rng.integers(1, hnsw._MASK_WIDTH + 1))
+                ids = rng.choice(others, size=size, replace=False).tolist()
+                dists = index._pairs[anchor, ids].tolist()
+                ties += len(dists) - len(set(dists))
+                candidates = list(zip(dists, ids))
+                for m in sorted({1, size - 1, size, size + 1} - {0}):
+                    assert index._select_neighbors(candidates, m) == (
+                        reference_select_neighbors(index, candidates, m)
+                    ), (trial, m)
+            assert rows_measured.call_count == 0
+        assert ties > 100
 
 
 class TestGraphsMatchReference:

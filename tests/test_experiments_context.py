@@ -1,10 +1,13 @@
 """Tests for the shared experiment context."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.base import NoApe
 from repro.core.plug import PasApe
-from repro.experiments.context import ExperimentContext, ScaleConfig
+from repro.experiments import significance
+from repro.experiments.context import TARGET_MODELS, ExperimentContext, ScaleConfig
 from repro.judge.alpaca_eval import AlpacaEvalBenchmark
 from repro.judge.arena_hard import ArenaHardBenchmark
 from repro.pipeline.collect import PromptCollector
@@ -107,6 +110,55 @@ class TestEvaluateArm:
         expected = dict(scores)
         scores["average"] = -1.0
         assert ctx.evaluate_arm("gpt-4-0613", ctx.method_none()) == expected
+
+
+class TestArenaHardResult:
+    @staticmethod
+    def _arena_hard_calls(monkeypatch):
+        """``(model, method name)`` per ``ArenaHardBenchmark.evaluate`` call."""
+        calls = []
+        evaluate = ArenaHardBenchmark.evaluate
+
+        def counting(self, engine, method):
+            calls.append((engine.name, method.name))
+            return evaluate(self, engine, method)
+
+        monkeypatch.setattr(ArenaHardBenchmark, "evaluate", counting)
+        return calls
+
+    def test_significance_reuses_the_arms_arena_hard_runs(self, monkeypatch):
+        calls = self._arena_hard_calls(monkeypatch)
+        ctx = ExperimentContext(scale=_TINY, seed=3)
+        arms = [ctx.method_none(), ctx.bpo, ctx.method_pas()]
+        scores = {
+            (model, arm.name): ctx.evaluate_arm(model, arm)
+            for model in TARGET_MODELS
+            for arm in arms
+        }
+        assert len(calls) == len(set(calls)) == 3 * len(TARGET_MODELS)
+        result = significance.run(ctx)
+        assert len(calls) == 3 * len(TARGET_MODELS)
+        for c in result.comparisons:
+            assert c.pas_score == pytest.approx(scores[(c.model, "pas")]["arena_hard"])
+            assert c.arm_score == pytest.approx(scores[(c.model, c.arm)]["arena_hard"])
+
+    def test_memoised_result_cannot_be_mutated_by_a_caller(self):
+        ctx = ExperimentContext(scale=_TINY, seed=3)
+        first = ctx.arena_hard_result("gpt-4-0613", ctx.method_none())
+        assert isinstance(first.outcomes, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.outcomes = ()
+        again = ctx.arena_hard_result("gpt-4-0613", ctx.method_none())
+        assert again is first and again.outcomes == first.outcomes
+
+    def test_foreign_method_is_judged_afresh(self, monkeypatch):
+        calls = self._arena_hard_calls(monkeypatch)
+        ctx = ExperimentContext(scale=_TINY, seed=3)
+        own = ctx.arena_hard_result("gpt-4-0613", ctx.method_none())
+        foreign = ctx.arena_hard_result("gpt-4-0613", NoApe())
+        ctx.arena_hard_result("gpt-4-0613", NoApe())
+        assert calls == [("gpt-4-0613", "none")] * 3
+        assert foreign == own
 
 
 class TestSeedSeparation:
