@@ -9,8 +9,7 @@ actually runs in — and measures, at an honest 100k-index/1k-query shape:
 
 * monolithic vs sharded build throughput (recorded as a plain ratio:
   the quick tier's 2x build win comes from graph-size scaling, which
-  thins to a log factor at 100k and is eaten by GIL contention between
-  the four Python-heavy shard builds on a single-core host),
+  thins to a log factor at 100k),
 * monolithic beam vs sharded *routed* search throughput (``speedup`` —
   gated >= 1.0 by ``check_bench_regression.py``, same as the quick
   tier), plus the split-ef beam fan-out as an informational mode (it
@@ -181,12 +180,12 @@ def test_build_throughput(built):
         "sharded_s": sharded_s,
         "single_vectors_per_s": N_INDEX / single_s,
         "sharded_vectors_per_s": N_INDEX / sharded_s,
-        # Deliberately NOT named `speedup` (ungated): building K graphs of
-        # n/K nodes saves only a log factor at this scale, and on a
-        # single-core host the four concurrent Python-heavy builds pay GIL
-        # contention on top — measured ~0.93x here.  The build win the
-        # quick tier shows (2.1x at 400 vectors) is graph-size scaling,
-        # and the search speedup below is what this tier gates.
+        # Deliberately NOT named `speedup` (ungated): the shards build one
+        # after another on the calling thread, and building K graphs of
+        # n/K nodes saves only a log factor at this scale, so the ratio
+        # sits near 1.0 and would gate on noise.  The build win the quick
+        # tier shows (2.1x at 400 vectors) is graph-size scaling, and the
+        # search speedup below is what this tier gates.
         "throughput_ratio_vs_single": single_s / sharded_s,
     }
     # Sanity bound only: sharding must not make builds pathologically slow.

@@ -4,8 +4,8 @@ Three independent pieces, one shared guarantee — everything parallel or
 batched is bit-identical to the scalar loop it accelerates:
 
 1. ``ShardedHnswIndex`` partitions an index round-robin over K HNSW
-   shards, builds/searches them on a thread pool, and merges results in a
-   declared total order.
+   shards, builds and searches them one after another, and merges results
+   in a declared total order.
 2. ``ServingEngine`` queues a timed trace in its ``MicroBatcher``, pulls
    batches on size/wait triggers and plans each with one
    ``PasGateway.plan_batch``; at ``max_inflight=1`` it serves exactly
@@ -58,9 +58,9 @@ def sharded_index_demo() -> None:
         len({k for k, _ in a} & {k for k, _ in b}) / 5
         for a, b in zip(hits_mono, hits_shard)
     ])
-    serial = sharded.search_batch(queries, 5, ef=256, parallel=False)
+    per_query = [sharded.search(q, 5, ef=256) for q in queries]
     print(f"  top-5 overlap vs monolithic at exhaustive ef: {overlap:.2f}")
-    print(f"  parallel == serial search: {hits_shard == serial}\n")
+    print(f"  search_batch == per-query search: {hits_shard == per_query}\n")
 
 
 def micro_batching_demo(pas: PasModel, traffic: list[str]) -> None:

@@ -243,25 +243,27 @@ class HnswIndex:
                 self._pairs = None
 
     def _distances_to(
-        self, query: np.ndarray, ids: Sequence[int], qnorm: float
+        self, query: np.ndarray, ids: Sequence[int] | slice, qnorm: float
     ) -> np.ndarray:
         """Distances from ``query`` to the stored vectors ``ids``.
 
         One gather plus one row-wise reduction per call: ``np.vecdot`` for
-        cosine, a squared-difference ``einsum`` for l2.  Each value is a
-        function of its pair alone.  ``dist(a, b)`` has the same bits
-        whichever row is the query, whatever other ids share the gather,
-        and in whatever order.  :meth:`_select_neighbors` relies on that
-        symmetry, and every scalar, batched, scan and beam path agrees bit
-        for bit because of it.  A BLAS matrix-vector product has neither
-        property: it blocks rows, so a pair's last ulp moves with the
-        gather's shape.
+        cosine, a squared-difference ``einsum`` for l2.  A ``slice`` of ids
+        reads those stored rows in place instead of gathering a copy (the
+        exact scan passes all of them).  Each value is a function of its
+        pair alone.  ``dist(a, b)`` has the same bits whichever row is the
+        query, whatever other ids share the gather, in whatever order, and
+        whether the rows are gathered or read in place.
+        :meth:`_select_neighbors` relies on that symmetry, and every
+        scalar, batched, scan and beam path agrees bit for bit because of
+        it.  A BLAS matrix-vector product has neither property: it blocks
+        rows, so a pair's last ulp moves with the gather's shape.
 
         ``query`` must be C-contiguous: ``vecdot`` rounds a strided
         operand differently.  Stored rows are contiguous, and every public
         entry point copies a strided query once before it gets here.
         """
-        idx = np.asarray(ids, dtype=np.intp)
+        idx = ids if isinstance(ids, slice) else np.asarray(ids, dtype=np.intp)
         sub = self._vectors[idx]
         if self.metric == "l2":
             diff = sub - query
@@ -282,9 +284,15 @@ class HnswIndex:
 
     @staticmethod
     def _quantize(vec: np.ndarray) -> tuple[np.ndarray, float]:
-        """Scalar-quantise one vector: ``codes * scale ~= vec`` (codes in ±127)."""
+        """Scalar-quantise one vector: ``codes * scale ~= vec`` (codes in ±127).
+
+        A zero row, or one whose peak is so small (below about 6e-322) that
+        ``peak / 127`` underflows to 0, takes scale 1.0 and codes to zeros.
+        """
         peak = float(np.max(np.abs(vec))) if vec.size else 0.0
-        scale = peak / 127.0 if peak > 0.0 else 1.0
+        scale = peak / 127.0
+        if scale <= 0.0:
+            scale = 1.0
         return np.rint(vec / scale).astype(np.int8), scale
 
     def _qdistances_to(
@@ -583,7 +591,7 @@ class HnswIndex:
         stored = self._vectors[node_id]
         qnorm = self._norms[node_id] if self.metric == "cosine" else 0.0
         if self._pairs is not None:
-            row = self._distances_to(stored, np.arange(node_id + 1), qnorm)
+            row = self._distances_to(stored, slice(0, node_id + 1), qnorm)
             self._pairs[node_id, : node_id + 1] = row
             self._pairs[: node_id + 1, node_id] = row
 
@@ -703,17 +711,23 @@ class HnswIndex:
 
         Same result contract as :meth:`_search_one_raw` (ties break by node
         id) but exhaustive, always on the exact float kernel, and without
-        touching the graph.  The sharded layer uses this for shards small
-        enough that one vectorised scan beats a beam traversal.
+        touching the graph.  The kernel reads the stored rows in place.  A
+        partition finds the k-th smallest distance, and one stable sort of
+        the rows at or below it, taken in id order, ranks them: that is the
+        ``(distance, id)`` order's first k without sorting the whole shard.
+        The sharded layer uses this for shards small enough that one
+        vectorised scan beats a beam traversal.
         """
         n = self._count
         if n == 0:
             empty = np.zeros(0, dtype=np.intp)
             return empty, np.zeros(0, dtype=np.float64)
-        ids = np.arange(n, dtype=np.intp)
-        dists = self._distances_to(query, ids, qnorm)
-        order = np.lexsort((ids, dists))[:k]
-        return ids[order], dists[order]
+        dists = self._distances_to(query, slice(0, n), qnorm)
+        kth = min(k, n) - 1
+        # ``not >`` rather than ``<=`` keeps every row when the k-th is NaN.
+        ids = np.flatnonzero(~(dists > np.partition(dists, kth)[kth]))
+        ids = ids[np.argsort(dists[ids], kind="stable")[:k]]
+        return ids, dists[ids]
 
     def _search_one(
         self,

@@ -5,68 +5,60 @@ whole corpus; at serving scale both construction and the per-query beam
 search grow with corpus size.  ``ShardedHnswIndex`` partitions the vectors
 round-robin across K independent ``HnswIndex`` shards, so
 
-* **build** inserts into K graphs of ``n / K`` nodes each — cheaper even
-  serially, because insertion cost grows with graph size — and runs the
-  per-shard builds in a thread pool (numpy releases the GIL inside the
-  gather+vecdot distance kernel).  A shard of at most 512 rows reads its
-  stored-pair distances from a table instead (see
-  :mod:`repro.ann.hnsw`), so its build makes one kernel call per insert
-  and holds the GIL for more of its time: small shards build faster
-  serially, and their threads overlap less;
-* **search** fans each query out to every shard and merges the per-shard
-  top-k answers in one vectorised pass.
+* **build** inserts into K graphs of ``n / K`` nodes each, which is
+  cheaper than one ``n``-node graph because insertion cost grows with
+  graph size;
+* **search** asks every shard for its top-k and merges the per-shard
+  answers in one vectorised pass.
+
+Both loop over the shards on the calling thread.  A build is mostly
+Python that holds the GIL, and a routed search is BLAS calls, so a
+thread per shard bought contention, not overlap: on a 2-vCPU host,
+20,000 rows in four routed shards built 1.5-2.4x and searched 1.7-1.8x
+slower with one than with this loop.
 
 Sharded search only pays off if each shard does *less* work than the
 single index would, so the fan-out picks a per-shard strategy by size:
 
 * a shard at or below ``scan_threshold`` elements answers with one exact
-  vectorised scan (:meth:`~repro.ann.hnsw.HnswIndex._scan_raw`) — at small
-  n a single gather+vecdot over the whole shard is an order of magnitude
-  cheaper than walking the graph, and it is exhaustive, so small-corpus
-  recall can only improve;
+  vectorised scan (:meth:`~repro.ann.hnsw.HnswIndex._scan_raw`), which
+  reads the shard's stored rows in place — at small n one ``vecdot`` over
+  the whole shard is an order of magnitude cheaper than walking the
+  graph, and it is exhaustive, so small-corpus recall can only improve;
 * a larger shard answers with a *routed* scan, the IVF kernel
   :class:`~repro.ann.ivf._IvfLists` over ~sqrt(n) of the shard's rows,
   sampled at a fixed stride, as centroids: one float32 GEMM per probed
   bucket scores its rows against every query probing it, and each
-  query's best pool is re-ranked with the shard's exact kernel.  On a
-  GIL-bound host this beats walking K graphs per query twice over: a
-  beam search pays a fixed per-query descent cost (~130 us measured)
-  *per shard*, so K descents alone exceed one whole monolithic search,
-  and per-query distance kernels are memory-bound where the grouped
-  GEMM is not;
+  query's best pool is re-ranked with the shard's exact kernel.  This
+  beats walking K graphs per query twice over: a beam search pays a
+  fixed per-query descent cost (~130 us measured) *per shard*, so K
+  descents alone exceed one whole monolithic search, and per-query
+  distance kernels are memory-bound where the grouped GEMM is not;
 * ``large_shard_search="beam"`` instead runs each big shard's beam with a
   *split* ef budget, ``max(k, ceil(ef / n_shards) + pad)`` — each shard
   holds ~1/K of the corpus, so it needs ~1/K of the candidate list to
   cover its share of the true top-k, and the additive pad absorbs the
-  unlucky shard.  This is the right mode when shard searches truly run
-  in parallel (one core per shard) or when the graph must be the source
-  of truth; it is not the single-core default because of the fixed-cost
-  math above.
+  unlucky shard.  This is the mode for when the graph must be the source
+  of truth, and the only one that reads int8 codes (the routed scan
+  ranks float rows); the K descents per query keep it from being the
+  default.
 
 ``n_shards=1`` bypasses all of that and delegates to the monolithic index
 untouched (same ef, beam only), keeping the long-standing bit-parity
 contract with a plain ``HnswIndex`` of the same seed.
 
-Parallelism never leaks into results: each shard's graph depends only on
-its own slice of the data, per-shard result arrays are collected *by shard
-index* (not completion order), and the merge orders candidates by the
-declared key ``(distance, shard index, within-shard rank)``.  The output
-is therefore bit-identical whatever the thread timing, and
-``search_batch`` is bit-identical to ``[search(q, k) for q in queries]``
-— the same contract every other batched path in the repo carries
-(``tests/test_ann_sharded.py`` pins it).
-
-The thread pool is owned by the index: created lazily on the first
-parallel call, reused across calls, released by :meth:`close` (or the
-context-manager form), and recreated on demand after a close.  Per-call
-executors were measurably more expensive than the work they fanned out.
+Results are a pure function of the data: each shard's graph depends only
+on its own slice of it, and the merge orders candidates by the declared
+key ``(distance, shard index, within-shard rank)``.  ``search_batch`` is
+bit-identical to ``[search(q, k) for q in queries]`` — the same contract
+every other batched path in the repo carries (``tests/test_ann_sharded.py``
+pins it).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,9 +93,6 @@ class ShardedHnswIndex:
     seed:
         Shard ``s`` draws its levels from ``seed + s``, so shard graphs
         are independent but the whole index is reproducible.
-    max_workers:
-        Thread-pool width for parallel build/search (default: one thread
-        per shard).
     scan_threshold:
         Shards at or below this many elements answer queries with an
         exact vectorised scan instead of a routed scan or beam search
@@ -126,8 +115,7 @@ class ShardedHnswIndex:
     obs:
         Optional :class:`~repro.obs.Observability` bundle: every
         :meth:`search` / :meth:`search_batch` runs inside an
-        ``ann.search`` span (from the *calling* thread — worker threads
-        never touch the tracer), counts into ``pas_ann_searches_total``,
+        ``ann.search`` span, counts into ``pas_ann_searches_total``,
         and records its span duration into the ``pas_ann_search_ticks``
         histogram (labels: ``mode``, ``quantized``).  Null (free) by
         default.
@@ -142,7 +130,6 @@ class ShardedHnswIndex:
         ef_search: int = 50,
         metric: str = "cosine",
         seed: int = 0,
-        max_workers: int | None = None,
         scan_threshold: int = 2048,
         large_shard_search: str = "routed",
         route_probes: int | None = None,
@@ -151,8 +138,6 @@ class ShardedHnswIndex:
     ):
         if n_shards < 1:
             raise IndexError_(f"n_shards must be >= 1, got {n_shards}")
-        if max_workers is not None and max_workers < 1:
-            raise IndexError_(f"max_workers must be >= 1, got {max_workers}")
         if scan_threshold < 0:
             raise IndexError_(f"scan_threshold must be >= 0, got {scan_threshold}")
         if large_shard_search not in ("routed", "beam"):
@@ -165,7 +150,6 @@ class ShardedHnswIndex:
         self.dim = dim
         self.n_shards = n_shards
         self.ef_search = ef_search
-        self.max_workers = max_workers
         self.scan_threshold = scan_threshold
         self.large_shard_search = large_shard_search
         self.route_probes = route_probes
@@ -185,7 +169,6 @@ class ShardedHnswIndex:
         ]
         self._count = 0
         self._keys_seen: set[int] = set()
-        self._pool: ThreadPoolExecutor | None = None
         # Per shard: (element count it was built at, coarse router).
         self._routers: list[tuple[int, _IvfLists] | None] = [None] * n_shards
 
@@ -200,36 +183,6 @@ class ShardedHnswIndex:
     def shard_sizes(self) -> list[int]:
         """Per-shard element counts (round-robin keeps them within 1)."""
         return [len(shard) for shard in self._shards]
-
-    def _pool_width(self) -> int:
-        return self.max_workers if self.max_workers is not None else self.n_shards
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        """The index-owned executor, created lazily and reused."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._pool_width(), thread_name_prefix="pas-ann"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Release the thread pool (idempotent; a later call recreates it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedHnswIndex":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def _check_key(self, key: int) -> int:
         key = int(key)
@@ -331,25 +284,16 @@ class ShardedHnswIndex:
         )
 
     def _fan_out(
-        self, matrix: np.ndarray, k: int, ef: int | None, parallel: bool
+        self, matrix: np.ndarray, k: int, ef: int | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Merged ``(keys, dists)`` arrays for a validated query matrix."""
         if self.n_shards == 1:
             # Pure delegation: same ef, beam only — bit-identical to the
             # monolithic index (pinned by tests).
             return self._shards[0].search_batch_arrays(matrix, k, ef)
-        if parallel:
-            pool = self._ensure_pool()
-            per_shard = list(
-                pool.map(
-                    lambda s: self._shard_arrays(s, matrix, k, ef),
-                    range(self.n_shards),
-                )
-            )
-        else:
-            per_shard = [
-                self._shard_arrays(s, matrix, k, ef) for s in range(self.n_shards)
-            ]
+        per_shard = [
+            self._shard_arrays(s, matrix, k, ef) for s in range(self.n_shards)
+        ]
         return self._merge_arrays(per_shard, k)
 
     @staticmethod
@@ -396,21 +340,15 @@ class ShardedHnswIndex:
         self._count += 1
 
     def add_batch(
-        self,
-        vectors: np.ndarray,
-        keys: Iterable[int] | None = None,
-        parallel: bool = True,
+        self, vectors: np.ndarray, keys: Iterable[int] | None = None
     ) -> None:
-        """Insert many vectors, building every shard's slice concurrently.
+        """Insert many vectors, one ``add_batch`` per shard's slice.
 
         The whole batch is validated — shapes, finiteness *and* keys,
         including duplicates within the batch — before any shard is
         touched, so a rejected batch leaves the index byte-identical.
         Round-robin assignment continues from the current element count, so
-        the shard contents are identical to calling :meth:`add` per row; with
-        ``parallel=True`` the per-shard ``add_batch`` calls run on the
-        index's thread pool (each shard is an independent graph, so the
-        result does not depend on scheduling).
+        the shard contents are identical to calling :meth:`add` per row.
         """
         matrix = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if matrix.shape[0] == 0:
@@ -432,24 +370,12 @@ class ShardedHnswIndex:
             if key in self._keys_seen or key in batch_seen:
                 raise IndexError_(f"duplicate key {key}")
             batch_seen.add(key)
-        per_shard_rows: list[list[int]] = [[] for _ in self._shards]
-        per_shard_keys: list[list[int]] = [[] for _ in self._shards]
-        for row, key in enumerate(key_list):
-            shard = (self._count + row) % self.n_shards
-            per_shard_rows[shard].append(row)
-            per_shard_keys[shard].append(key)
-
-        def build(shard: int) -> None:
-            if per_shard_rows[shard]:
-                self._shards[shard].add_batch(
-                    matrix[per_shard_rows[shard]], per_shard_keys[shard]
-                )
-
-        if parallel and self.n_shards > 1:
-            list(self._ensure_pool().map(build, range(self.n_shards)))
-        else:
-            for shard in range(self.n_shards):
-                build(shard)
+        for shard, index in enumerate(self._shards):
+            # Batch row r lands on shard (count + r) % n_shards.
+            first = (shard - self._count) % self.n_shards
+            index.add_batch(
+                matrix[first :: self.n_shards], key_list[first :: self.n_shards]
+            )
         self._keys_seen |= batch_seen
         self._count += matrix.shape[0]
 
@@ -471,36 +397,27 @@ class ShardedHnswIndex:
             self.obs.metrics.counter(
                 "pas_ann_searches_total", help="ANN searches by mode."
             ).inc(mode="scalar")
-            keys, dists = self._fan_out(query[np.newaxis, :], k, ef, parallel=False)
+            keys, dists = self._fan_out(query[np.newaxis, :], k, ef)
             hits = self._rows_to_tuples(keys, dists)[0]
         self._observe_search(span, "scalar")
         return hits
 
     def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        parallel: bool = True,
+        self, queries: np.ndarray, k: int, ef: int | None = None
     ) -> list[list[tuple[int, float]]]:
         """k-NN lists for a ``(n, dim)`` query matrix, one per row.
 
         A thin tuple view over :meth:`search_batch_arrays` — bit-identical
-        to ``[self.search(q, k, ef) for q in queries]`` regardless of
-        thread timing, because shard results are keyed by shard index and
-        scalar and batched paths share one fan-out/merge core.
+        to ``[self.search(q, k, ef) for q in queries]``, because scalar and
+        batched paths share one fan-out/merge core.
         """
-        keys, dists, n_queries = self._search_batch_validated(queries, k, ef, parallel)
+        keys, dists, n_queries = self._search_batch_validated(queries, k, ef)
         if keys is None:
             return [[] for _ in range(n_queries)]
         return self._rows_to_tuples(keys, dists)
 
     def search_batch_arrays(
-        self,
-        queries: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        parallel: bool = True,
+        self, queries: np.ndarray, k: int, ef: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Array-native batch search: ``(keys, dists)`` of shape ``(n, k)``.
 
@@ -509,7 +426,7 @@ class ShardedHnswIndex:
         elements exist the row tail is padded with key ``-1`` and distance
         ``+inf`` (a pad entry always has both).
         """
-        keys, dists, n_queries = self._search_batch_validated(queries, k, ef, parallel)
+        keys, dists, n_queries = self._search_batch_validated(queries, k, ef)
         if keys is None:
             return (
                 np.full((n_queries, k), -1, dtype=np.int64),
@@ -518,7 +435,7 @@ class ShardedHnswIndex:
         return keys, dists
 
     def _search_batch_validated(
-        self, queries: np.ndarray, k: int, ef: int | None, parallel: bool
+        self, queries: np.ndarray, k: int, ef: int | None
     ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
         """Shared validation + instrumented fan-out for both batch surfaces.
 
@@ -548,6 +465,6 @@ class ShardedHnswIndex:
             self.obs.metrics.counter(
                 "pas_ann_searches_total", help="ANN searches by mode."
             ).inc(mode="batch")
-            keys, dists = self._fan_out(matrix, k, ef, parallel)
+            keys, dists = self._fan_out(matrix, k, ef)
         self._observe_search(span, "batch")
         return keys, dists, int(matrix.shape[0])

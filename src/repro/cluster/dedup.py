@@ -5,7 +5,9 @@ of representatives per cluster.  Here: build an HNSW index over the
 embeddings, take each element's k nearest neighbours, union every pair whose
 cosine similarity is at or above a threshold, and keep up to
 ``keep_per_group`` representatives (lowest original index first, so results
-are stable).
+are stable).  The shard count picks the index: one shard is the monolithic
+:class:`~repro.ann.hnsw.HnswIndex`, more is a
+:class:`~repro.ann.sharded.ShardedHnswIndex`.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from repro.ann.sharded import ShardedHnswIndex
 from repro.utils.unionfind import UnionFind
 
 __all__ = ["DedupResult", "deduplicate"]
-
-#: Dedup ANN backends: ``auto`` picks sharded iff ``n_shards > 1``.
-_BACKENDS = ("auto", "hnsw", "sharded")
 
 #: Smallest distance cut.  A row and an exact or positive-scaled copy of it
 #: land a few ulps off cosine distance 0 (up to 4.4e-16 on Gaussian rows of
@@ -96,7 +95,6 @@ def deduplicate(
     ef_search: int = 64,
     seed: int = 0,
     n_shards: int = 1,
-    backend: str = "auto",
 ) -> DedupResult:
     """Group near-duplicate embeddings and pick representatives.
 
@@ -113,13 +111,9 @@ def deduplicate(
         Representatives retained per duplicate group (paper keeps "a small
         amount of data" per cluster).
     n_shards:
-        Shard count for the sharded backend.  With ``backend="auto"`` the
-        sharded index is used iff ``n_shards > 1``.
-    backend:
-        ``"hnsw"`` forces the monolithic index, ``"sharded"`` forces
-        :class:`~repro.ann.sharded.ShardedHnswIndex` (valid at any shard
-        count — a 1-shard sharded run is bit-identical to monolithic,
-        which the dedup tests pin), ``"auto"`` picks by ``n_shards``.
+        ``1`` builds the monolithic :class:`~repro.ann.hnsw.HnswIndex`;
+        more builds a :class:`~repro.ann.sharded.ShardedHnswIndex` with
+        that many shards.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -129,15 +123,12 @@ def deduplicate(
         raise ValueError(f"keep_per_group must be >= 1, got {keep_per_group}")
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
     matrix = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     n = matrix.shape[0]
     if n == 0:
         return DedupResult(kept=[], groups=[], representative_of={})
 
-    use_sharded = backend == "sharded" or (backend == "auto" and n_shards > 1)
-    if use_sharded:
+    if n_shards > 1:
         graph = _knn_graph_sharded(matrix, k_neighbors, ef_search, seed, n_shards)
     else:
         index = HnswIndex(dim=matrix.shape[1], ef_search=ef_search, seed=seed)

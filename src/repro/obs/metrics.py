@@ -18,8 +18,7 @@ Design constraints, in order:
    branches on "is observability on".
 
 The registry is *not* thread-safe by itself; the serving path funnels all
-updates through the gateway's single-threaded request loop (the ANN thread
-pool only touches metrics from the calling thread, after the merge).
+updates through the gateway's single-threaded request loop.
 """
 
 from __future__ import annotations

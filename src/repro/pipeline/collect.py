@@ -38,12 +38,10 @@ __all__ = ["CollectionConfig", "SelectedPrompt", "CollectionResult", "PromptColl
 class CollectionConfig(Record):
     """Knobs for the three collection stages.
 
-    ``dedup_shards`` / ``dedup_backend`` pick the ANN index behind the
-    dedup stage (see :func:`~repro.cluster.dedup.deduplicate`): the
-    default is the monolithic HNSW graph; ``dedup_shards > 1`` (or
-    ``dedup_backend="sharded"``) routes through
-    :class:`~repro.ann.sharded.ShardedHnswIndex`, whose 1-shard graph is
-    bit-identical to the monolithic one.
+    ``dedup_shards`` picks the ANN index behind the dedup stage (see
+    :func:`~repro.cluster.dedup.deduplicate`): the default, one shard, is
+    the monolithic HNSW graph; ``dedup_shards > 1`` routes through
+    :class:`~repro.ann.sharded.ShardedHnswIndex`.
     """
 
     dedup_threshold: float = 0.88
@@ -54,7 +52,6 @@ class CollectionConfig(Record):
     skip_dedup: bool = False
     skip_quality_filter: bool = False
     dedup_shards: int = 1
-    dedup_backend: str = "auto"
 
     def validate(self) -> None:
         if not 0.0 < self.dedup_threshold <= 1.0:
@@ -71,10 +68,6 @@ class CollectionConfig(Record):
             raise ConfigError(f"target_size must be >= 1: {self.target_size}")
         if self.dedup_shards < 1:
             raise ConfigError(f"dedup_shards must be >= 1: {self.dedup_shards}")
-        if self.dedup_backend not in ("auto", "hnsw", "sharded"):
-            raise ConfigError(
-                f"dedup_backend must be auto/hnsw/sharded: {self.dedup_backend!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,6 @@ def _dedup(collector: PromptCollector, corpus: list[SyntheticPrompt]) -> list[Sy
         keep_per_group=cc.keep_per_group,
         seed=collector.seed,
         n_shards=cc.dedup_shards,
-        backend=cc.dedup_backend,
     )
     return [corpus[i] for i in result.kept]
 

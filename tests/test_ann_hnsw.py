@@ -1,5 +1,6 @@
 """Tests for the HNSW index, including recall against brute force."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -249,6 +250,39 @@ class TestNonFinite:
     def test_empty_index_still_rejects_non_finite_query(self):
         with pytest.raises(IndexError_, match="finite"):
             HnswIndex(dim=2).search(np.array([np.nan, 0.0]), 1)
+
+
+class TestSubnormalQuantization:
+    """A row whose int8 scale ``peak / 127`` underflows codes to zeros."""
+
+    SUBNORMAL = np.array([5e-324, 0.0, -5e-324, 0.0])
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_subnormal_row_codes_to_zeros_without_warnings(self, metric):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes, scale = HnswIndex._quantize(self.SUBNORMAL)
+            index = HnswIndex(dim=4, seed=0, metric=metric, quantization="int8")
+            index.add_batch(np.vstack([self.SUBNORMAL, _random_points(6, 4)]))
+            hits = index.search(self.SUBNORMAL, 3)
+        assert (codes.tolist(), scale) == ([0, 0, 0, 0], 1.0)
+        assert index._codes[0].tolist() == [0, 0, 0, 0]
+        assert index._code_scales[0] == 1.0
+        assert len(hits) == 3
+
+    @pytest.mark.parametrize("row", [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.5, -1.0, 2.0, 0.0],
+        [1e-300, -2e-300, 0.0, 3e-301],
+        [1e-321, 0.0, -5e-324, 0.0],  # subnormal, but its scale stays positive
+    ])
+    def test_rows_with_a_positive_scale_keep_their_codes(self, row):
+        vec = np.array(row)
+        peak = float(np.max(np.abs(vec)))
+        want_scale = peak / 127.0 if peak > 0.0 else 1.0
+        codes, scale = HnswIndex._quantize(vec)
+        assert scale == want_scale
+        assert codes.tobytes() == np.rint(vec / want_scale).astype(np.int8).tobytes()
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
-"""Tests for the sharded HNSW index (parallel build/search, deterministic merge)."""
+"""Tests for the sharded HNSW index (one-thread build/search, deterministic merge)."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -33,20 +35,9 @@ class TestConstruction:
         with pytest.raises(IndexError_):
             index.add(_data(1, 8)[0], key=7)  # lives on the other shard
 
-    def test_parallel_and_serial_builds_identical(self):
-        points = _data(30, 8)
-        parallel = ShardedHnswIndex(dim=8, n_shards=4, seed=2)
-        parallel.add_batch(points, range(30), parallel=True)
-        serial = ShardedHnswIndex(dim=8, n_shards=4, seed=2)
-        serial.add_batch(points, range(30), parallel=False)
-        queries = _data(10, 8, seed=1)
-        assert parallel.search_batch(queries, 5) == serial.search_batch(queries, 5)
-
     def test_validation(self):
         with pytest.raises(IndexError_):
             ShardedHnswIndex(dim=8, n_shards=0)
-        with pytest.raises(IndexError_):
-            ShardedHnswIndex(dim=8, max_workers=0)
         index = ShardedHnswIndex(dim=8, n_shards=2)
         with pytest.raises(IndexError_):
             index.add_batch(_data(3, 5), range(3))  # wrong dim
@@ -144,42 +135,78 @@ class TestRejectedBatchAtomicity:
         assert (len(mono), mono.vectors.tobytes(), set(mono._keys_seen)) == before
 
 
-class TestExecutorLifecycle:
-    def test_pool_is_lazy_and_reused(self):
-        index = ShardedHnswIndex(dim=8, n_shards=3, seed=0)
-        assert index._pool is None
-        index.add_batch(_data(12, 8), range(12))
-        pool = index._pool
-        assert pool is not None
-        index.search_batch(_data(4, 8, seed=1), 3)
-        assert index._pool is pool  # reused, not respawned per call
+class TestOneThread:
+    """Build and search run on the calling thread: no path starts one."""
 
-    def test_close_is_idempotent_and_pool_recreated_on_demand(self):
-        index = ShardedHnswIndex(dim=8, n_shards=3, seed=0)
-        index.add_batch(_data(12, 8), range(12))
-        index.close()
-        assert index._pool is None
-        index.close()  # second close is a no-op
-        hits = index.search_batch(_data(3, 8, seed=1), 3)
-        assert len(hits) == 3  # lazily recreated
-        assert index._pool is not None
+    @pytest.mark.parametrize("large_shard_search", ["routed", "beam"])
+    def test_no_path_starts_a_thread(self, monkeypatch, large_shard_search):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name!r} started")
 
-    def test_context_manager_closes_pool(self):
-        with ShardedHnswIndex(dim=8, n_shards=2, seed=0) as index:
-            index.add_batch(_data(8, 8), range(8))
-            assert index._pool is not None
-        assert index._pool is None
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        index = ShardedHnswIndex(
+            dim=8,
+            n_shards=4,
+            seed=0,
+            scan_threshold=40,
+            large_shard_search=large_shard_search,
+        )
+        index.add_batch(_data(161, 8), range(161))
+        index.add(_data(1, 8, seed=3)[0], key=161)
+        # Shards 0 and 1 sit above scan_threshold, shards 2 and 3 at it.
+        assert index.shard_sizes == [41, 41, 40, 40]
+        queries = _data(6, 8, seed=1)
+        hits = index.search_batch(queries, 5)
+        keys, dists = index.search_batch_arrays(queries, 5)
+        assert hits == [index.search(q, 5) for q in queries]
+        assert hits == [
+            list(zip(row_keys, row_dists))
+            for row_keys, row_dists in zip(keys.tolist(), dists.tolist())
+        ]
 
-    def test_serial_paths_never_spawn_a_pool(self):
-        index = ShardedHnswIndex(dim=8, n_shards=3, seed=0)
-        index.add_batch(_data(12, 8), range(12), parallel=False)
-        index.search(_data(1, 8, seed=1)[0], 3)
-        index.search_batch(_data(4, 8, seed=2), 3, parallel=False)
-        assert index._pool is None
+
+def _gathered_scan(shard, query, k):
+    """The exact scan over a gather of every stored row: the oracle the
+    in-place scan must match bit for bit."""
+    ids = np.arange(len(shard), dtype=np.intp)
+    dists = shard._distances_to(query, ids, shard._query_norm(query))
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]
+
+
+class TestInPlaceScan:
+    """The scan reads a shard's rows in place, selects its top k without a
+    full sort, and matches a full sort of the gathered kernel."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 33])
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_matches_gathered_kernel(self, metric, dim):
+        points = _data(45, dim, seed=dim)
+        points[5] = 0.0  # a zero row
+        points[9] = 3.0 * points[2]  # a scaled copy
+        points[13] = points[2]  # an exact copy
+        points[[20, 23, 26, 29]] = points[17]  # exact copies on one shard
+        index = ShardedHnswIndex(
+            dim=dim, n_shards=3, metric=metric, seed=1, scan_threshold=10_000
+        )
+        index.add_batch(points, range(45))
+        queries = np.concatenate([points[[0, 2, 5, 9, 17]], _data(4, dim, seed=99)])
+        for query in queries:
+            for shard in index._shards:
+                # k cuts through the tied copies, and past the shard's size.
+                for k in (1, 2, 3, 20, 60):
+                    ids, dists = shard._scan_raw(query, shard._query_norm(query), k)
+                    want_ids, want_dists = _gathered_scan(shard, query, k)
+                    assert ids.dtype == want_ids.dtype
+                    assert np.array_equal(ids, want_ids)
+                    assert dists.tobytes() == want_dists.tobytes()
+        assert index.search_batch(queries, 20) == [
+            index.search(q, 20) for q in queries
+        ]
 
 
 class TestSearchParity:
-    """The batched/parallel path is bit-identical to its scalar loop."""
+    """The batched path is bit-identical to its scalar loop."""
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     @pytest.mark.parametrize("metric", ["cosine", "l2"])

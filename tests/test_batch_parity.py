@@ -109,7 +109,7 @@ class TestAugmentBatchParity:
 
 
 class TestShardedSearchParity:
-    """Thread-parallel sharded search == its scalar per-query loop, bitwise."""
+    """Sharded batch search == its scalar per-query loop, bitwise."""
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_bitwise_vs_per_query_search(self, n_shards):
@@ -121,16 +121,6 @@ class TestShardedSearchParity:
         assert index.search_batch(queries, 5) == [
             index.search(q, 5) for q in queries
         ]
-
-    def test_parallel_flag_changes_nothing(self):
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(60, 12))
-        queries = rng.normal(size=(10, 12))
-        index = ShardedHnswIndex(dim=12, n_shards=3, seed=2)
-        index.add_batch(points, range(len(points)))
-        assert index.search_batch(queries, 4, parallel=True) == index.search_batch(
-            queries, 4, parallel=False
-        )
 
 
 class TestAugmentEmbedCacheParity:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster.dedup import deduplicate
+from repro.ann.hnsw import HnswIndex
+from repro.cluster import dedup
+from repro.cluster.dedup import _knn_graph_sharded, deduplicate
 from repro.embedding.model import EmbeddingModel
 from repro.pipeline.collect import CollectionConfig
 from repro.pipeline.config import PipelineConfig
@@ -99,13 +101,15 @@ class TestDeduplicate:
             deduplicate(np.ones((2, 2)), keep_per_group=0)
 
     @pytest.mark.parametrize("k_neighbors", [0, -2])
-    @pytest.mark.parametrize("backend", ["hnsw", "sharded"])
-    def test_invalid_k_neighbors(self, k_neighbors, backend):
+    @pytest.mark.parametrize(
+        "n_shards", [pytest.param(1, id="hnsw"), pytest.param(2, id="sharded")]
+    )
+    def test_invalid_k_neighbors(self, k_neighbors, n_shards):
         # Rows with five exact copies: k_neighbors=0 used to keep every row,
         # and a negative count sliced the neighbour lists from the end.
         matrix = np.concatenate([_clusters(), np.repeat(_clusters()[:1], 5, axis=0)])
         with pytest.raises(ValueError, match="k_neighbors"):
-            deduplicate(matrix, k_neighbors=k_neighbors, backend=backend)
+            deduplicate(matrix, k_neighbors=k_neighbors, n_shards=n_shards)
 
     def test_deterministic(self):
         matrix = _clusters(seed=9)
@@ -114,31 +118,39 @@ class TestDeduplicate:
         assert a.kept == b.kept
 
 
+def _monolithic_knn_graph(matrix, k_neighbors, ef_search, seed):
+    index = HnswIndex(dim=matrix.shape[1], ef_search=ef_search, seed=seed)
+    index.add_batch(matrix, range(matrix.shape[0]))
+    return index.knn_graph(k_neighbors, ef=ef_search)
+
+
 class TestShardedBackend:
     def test_one_shard_bit_identical_to_monolithic(self):
         matrix = _clusters(seed=2)
-        mono = deduplicate(matrix, threshold=0.95, seed=4)
-        sharded = deduplicate(
-            matrix, threshold=0.95, seed=4, backend="sharded", n_shards=1
+        one_shard = _knn_graph_sharded(
+            matrix, k_neighbors=8, ef_search=64, seed=4, n_shards=1
         )
-        assert sharded.kept == mono.kept
-        assert sharded.groups == mono.groups
-        assert sharded.representative_of == mono.representative_of
+        assert one_shard == _monolithic_knn_graph(matrix, 8, 64, 4)
 
-    def test_auto_picks_sharded_above_one_shard(self):
+    def test_auto_picks_sharded_above_one_shard(self, monkeypatch):
+        calls = []
+
+        def spy(matrix, k_neighbors, ef_search, seed, n_shards):
+            calls.append(n_shards)
+            return _knn_graph_sharded(matrix, k_neighbors, ef_search, seed, n_shards)
+
+        monkeypatch.setattr(dedup, "_knn_graph_sharded", spy)
         matrix = _clusters(seed=5)
-        explicit = deduplicate(matrix, threshold=0.95, n_shards=4, backend="sharded")
-        auto = deduplicate(matrix, threshold=0.95, n_shards=4)
-        assert auto.kept == explicit.kept
+        deduplicate(matrix, threshold=0.95)
+        assert calls == []
+        sharded = deduplicate(matrix, threshold=0.95, n_shards=4)
+        assert calls == [4]
+        assert len(sharded.kept) == 3
 
     def test_multi_shard_collapses_tight_clusters(self):
         result = deduplicate(_clusters(), threshold=0.95, n_shards=4)
         assert len(result.kept) == 3
         assert sorted(len(g) for g in result.groups) == [5, 5, 5]
-
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError):
-            deduplicate(np.ones((2, 2)), backend="faiss")
 
     def test_invalid_n_shards(self):
         with pytest.raises(ValueError):
@@ -147,9 +159,10 @@ class TestShardedBackend:
     def test_real_embeddings_one_shard_parity(self, factory):
         prompts = [factory.make_prompt() for _ in range(30)]
         embeddings = EmbeddingModel().embed_batch([p.text for p in prompts])
-        mono = deduplicate(embeddings, threshold=0.85)
-        sharded = deduplicate(embeddings, threshold=0.85, backend="sharded")
-        assert sharded.kept == mono.kept
+        one_shard = _knn_graph_sharded(
+            embeddings, k_neighbors=8, ef_search=64, seed=0, n_shards=1
+        )
+        assert one_shard == _monolithic_knn_graph(embeddings, 8, 64, 0)
 
 
 class TestDedupOnRealPromptEmbeddings:

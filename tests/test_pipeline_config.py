@@ -23,7 +23,6 @@ def _full_config():
             quality_threshold=0.55,
             target_size=40,
             dedup_shards=4,
-            dedup_backend="sharded",
         ),
         generation=GenerationConfig(max_rounds=2, curate=False),
         runner=RunnerConfig(
@@ -94,8 +93,12 @@ class TestValidation:
             PipelineConfig(runner=RunnerConfig(fail_after_pairs=0)).validate()
 
     def test_bad_dedup_backend(self):
-        with pytest.raises(ConfigError):
-            CollectionConfig(dedup_backend="faiss").validate()
+        # The shard count alone picks the dedup index; a config that still
+        # names a backend is rejected by its field path, not ignored.
+        with pytest.raises(
+            TypeError, match="PipelineConfig.collection: unknown key 'dedup_backend'"
+        ):
+            PipelineConfig.from_dict({"collection": {"dedup_backend": "sharded"}})
 
     def test_bad_dedup_shards(self):
         with pytest.raises(ConfigError):

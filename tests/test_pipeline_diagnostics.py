@@ -103,13 +103,13 @@ class TestRunnerAndShardedInputs:
             runner_result.collection
         )
 
-    def test_one_shard_sharded_reports_identical(self, small_corpus):
+    def test_sharded_reports_identical(self, small_corpus):
         from repro.pipeline.collect import CollectionConfig
 
         corpus = list(small_corpus)
         mono = PromptCollector(seed=9).collect(corpus)
         sharded = PromptCollector(
-            config=CollectionConfig(dedup_shards=1, dedup_backend="sharded"), seed=9
+            config=CollectionConfig(dedup_shards=2), seed=9
         ).collect(corpus)
         mono_health = pipeline_health(corpus, mono)
         sharded_health = pipeline_health(corpus, sharded)

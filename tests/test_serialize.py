@@ -323,7 +323,7 @@ EXTRA = {
     "RetryPolicy": RETRY,
     "CollectionConfig": CollectionConfig(
         dedup_threshold=0.9, keep_per_group=2, target_size=40, skip_quality_filter=True,
-        dedup_shards=2, dedup_backend="sharded",
+        dedup_shards=2,
     ),
     "RunnerConfig": RunnerConfig(
         checkpoint_every=8,
@@ -365,9 +365,11 @@ def _export(obj) -> str:
 
 #: sha256 of ``json.dumps(obj.as_dict())`` for every pinned object,
 #: captured from the per-class hand-written methods before the field
-#: codec replaced them.
+#: codec replaced them.  ``CollectionConfig`` and ``PipelineConfig/1`` were
+#: re-pinned when ``CollectionConfig.dedup_backend`` was deleted: their
+#: bytes are the earlier export with that one key removed.
 EXPORT_SHA256 = {
-    "CollectionConfig": "58f5db0ece4fc7c89c175e38622ad8b3cc75677c5489b4f67664ef6ac67a607b",
+    "CollectionConfig": "6aeb723fdf3cb9123fbde7c94888b7cfd92c42ebb2a4349df8692673092ea9ea",
     "CollectionResult": "1564745c54fe9c2af64fab333a73d3dd17b014fb82bf076e0296cf73cf2038be",
     "ContextualBandit/1": "c606ca25f6f6b39bbfe527faaf1b5050c01b43554fec5678c753df3d55aad6f5",
     "EngineConfig/1": "b0f412f2e89e57c84363e2f8eaeca12aa4b1ec9e26ae3d0d450d693f79c4fd19",
@@ -380,7 +382,7 @@ EXPORT_SHA256 = {
     "LatencyModel": "2a5815ae3d7cb33a0264d3578daa92d0b94ff56056551f9275c3f2360ba9cb9e",
     "ModelPool/1": "6fa4025007d33319d7539e097f3701ec42fd4b6ce438d31906edb93e3d4b83f2",
     "OutageWindow": "f7cf75502e89974241402d27d035597bf1fabba6df75ed4aa7e03c4b99cffa66",
-    "PipelineConfig/1": "0b9fff64958f2e5ec29981f947f9029d29a3a85932bfcf3535c7304c56217aeb",
+    "PipelineConfig/1": "2e0e25b8b85b7c9a83a9d55dc5f69f76e03e45064d593f832591039a174af50d",
     "PolicyConfig/1": "61bbc6db59b717836932ea641c19909fa8806c2fca4c62604eed53786d81837a",
     "PromptPair": "81b644e9f20fb84b15253cee41b9aeee9deb4b471838f4cbc850f78a5b0d6e6b",
     "PromptPairDataset": "ba70519ba81734024af030f6eac19e7143d37f3a1a3eeca97970c7856210c51d",
