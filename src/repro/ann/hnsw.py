@@ -49,14 +49,11 @@ table-free path, which the tests use as the oracle.  External queries,
 the exact and routed scans (the routed one lives in
 :mod:`repro.ann.ivf`) and the int8 code kernel never read the table.
 
-Two beams serve layer 0.  ``_search_layer``, over the list adjacency and
-a visited set, runs construction on every layer and each ``knn_graph``
-row of a float index holding its table.  ``_search_layer0``, over packed
-adjacency arrays and a reusable visited-stamp array, runs every other
-search: external queries, int8 traversal and the table-free path, where
-each batch of fresh ids costs a kernel call anyway.  Both visit in the
-same order with the same push and evict rule, so either returns the same
-results bit for bit.
+One beam, ``_search_layer`` over the list adjacency and a visited set,
+serves every layer of every search: construction, ``knn_graph``, external
+queries, int8 traversal and the table-free path.  Only its kernel
+differs: a table row read per visited node, or one numpy call per batch
+of fresh ids.
 
 Two result surfaces share one search core: the tuple API (``search`` /
 ``search_batch``, lists of ``(key, distance)`` pairs) and the array API
@@ -179,15 +176,6 @@ class HnswIndex:
         # Stored-pair distances: _pairs[i, j] == dist(row i, row j) for
         # i, j < count, filled by add; None once capacity passed _PAIR_LIMIT.
         self._pairs: np.ndarray | None = np.zeros((0, 0), dtype=np.float64)
-        # Packed layer-0 adjacency, rebuilt lazily for read-only searches.
-        self._graph_version = 0
-        self._packed_version = -1
-        self._packed0 = np.zeros((0, 0), dtype=np.intp)
-        self._packed0_counts = np.zeros(0, dtype=np.intp)
-        # Per-search visited marks: a stamp array beats allocating a fresh
-        # boolean mask per query (node visited iff _visited_mark[nid] == stamp).
-        self._visited_mark = np.zeros(0, dtype=np.int64)
-        self._visit_stamp = 0
 
     # ------------------------------------------------------------------ #
     # basic plumbing
@@ -288,12 +276,14 @@ class HnswIndex:
 
         A zero row, or one whose peak is so small (below about 6e-322) that
         ``peak / 127`` underflows to 0, takes scale 1.0 and codes to zeros.
+        A subnormal scale can round below ``peak / 127``, so the quotient is
+        clipped to ±127 before the int8 cast, which would wrap it.
         """
         peak = float(np.max(np.abs(vec))) if vec.size else 0.0
         scale = peak / 127.0
         if scale <= 0.0:
             scale = 1.0
-        return np.rint(vec / scale).astype(np.int8), scale
+        return np.clip(np.rint(vec / scale), -127.0, 127.0).astype(np.int8), scale
 
     def _qdistances_to(
         self, qcodes: np.ndarray, qscale: float, qnorm: float, qsq: float, ids
@@ -341,7 +331,7 @@ class HnswIndex:
         so a visited node costs a list read and no numpy call.  Otherwise
         float mode binds :meth:`_distances_to` and int8 mode quantises the
         query once and binds the code kernel, one numpy call per batch of
-        ids.  Every traversal routine (greedy descent, both beams) goes
+        ids.  Every traversal routine (greedy descent, the beam) goes
         through the kernel, so the modes share identical control flow.
         """
         if self._reads_row(node):
@@ -389,10 +379,11 @@ class HnswIndex:
     ) -> list[tuple[float, int]]:
         """Beam search on one layer; returns (distance, node_id), unsorted.
 
-        Serves construction on every layer and the layer-0 search of a
-        query that :meth:`_reads_row` (each ``knn_graph`` row of a table
-        index): the kernel then reads one Python row, so the list adjacency
-        and a visited set cost less than the packed arrays' numpy calls.
+        The only beam: construction runs it on every layer, and every
+        search (:meth:`_search_one_raw`) on layer 0.  A candidate is
+        popped nearest first; its unvisited neighbours, in adjacency-list
+        order, go through the kernel in one call, and each enters the
+        beam if the beam is not full or it beats the farthest kept.
         """
         visited = set(entry_ids)
         # candidates: min-heap by distance; results: max-heap via negation
@@ -412,73 +403,6 @@ class HnswIndex:
                 continue
             visited.update(fresh)
             for d, nb in zip(kernel(fresh), fresh):
-                if len(results) < ef or d < -results[0][0]:
-                    push(candidates, (d, nb))
-                    push(results, (-d, nb))
-                    if len(results) > ef:
-                        pop(results)
-        return [(-nd, nid) for nd, nid in results]
-
-    def _ensure_packed(self) -> None:
-        """Pack the layer-0 adjacency lists into flat arrays.
-
-        Rebuilt lazily whenever the graph changed since the last search;
-        construction keeps mutating the list-of-lists, so packing there
-        would mean an O(n*m) rebuild per insert.
-        """
-        if self._packed_version == self._graph_version:
-            return
-        n = self._count
-        width = max((len(self._neighbors[nid][0]) for nid in range(n)), default=0)
-        rows = np.zeros((n, width), dtype=np.intp)
-        counts = np.zeros(n, dtype=np.intp)
-        for nid in range(n):
-            nbrs = self._neighbors[nid][0]
-            counts[nid] = len(nbrs)
-            rows[nid, : len(nbrs)] = nbrs
-        self._packed0 = rows
-        self._packed0_counts = counts
-        self._packed_version = self._graph_version
-        if self._visited_mark.shape[0] < n:
-            self._visited_mark = np.zeros(max(n, _INITIAL_CAPACITY), dtype=np.int64)
-            self._visit_stamp = 0
-
-    def _search_layer0(
-        self, kernel, entry_ids: list[int], ef: int
-    ) -> list[tuple[float, int]]:
-        """Layer-0 beam search over the packed adjacency (external queries,
-        int8 traversal and the table-free path).
-
-        Mirrors :meth:`_search_layer` exactly — same visit order through
-        the same distance kernel, so the same results bit for bit — but
-        gathers neighbours from the packed arrays and tracks visited nodes
-        with a reusable stamp array instead of a set (``mark[nid] == stamp``
-        means visited; bumping the stamp clears all marks for free).  That
-        pays off when each batch of fresh ids costs a kernel call anyway.
-        """
-        rows = self._packed0
-        counts = self._packed0_counts
-        self._visit_stamp += 1
-        stamp = self._visit_stamp
-        mark = self._visited_mark
-        entry_idx = np.asarray(entry_ids, dtype=np.intp)
-        mark[entry_idx] = stamp
-        candidates: list[tuple[float, int]] = []
-        results: list[tuple[float, int]] = []
-        for d, nid in zip(kernel(entry_idx), entry_ids):
-            heapq.heappush(candidates, (d, nid))
-            heapq.heappush(results, (-d, nid))
-        push, pop = heapq.heappush, heapq.heappop
-        while candidates:
-            d_cand, nid = pop(candidates)
-            if d_cand > -results[0][0] and len(results) >= ef:
-                break
-            nbrs = rows[nid, : counts[nid]]
-            fresh = nbrs[mark[nbrs] != stamp]
-            if fresh.size == 0:
-                continue
-            mark[fresh] = stamp
-            for d, nb in zip(kernel(fresh), fresh.tolist()):
                 if len(results) < ef or d < -results[0][0]:
                     push(candidates, (d, nb))
                     push(results, (-d, nb))
@@ -583,7 +507,6 @@ class HnswIndex:
             codes, scale = self._quantize(vec)
             self._codes[node_id] = codes
             self._code_scales[node_id] = scale
-        self._graph_version += 1
         self._count += 1
         self._keys.append(key)
         self._key_arr[node_id] = key
@@ -669,15 +592,12 @@ class HnswIndex:
         kernel and the surviving candidate set is re-ranked here with the
         exact float kernel before the top-k cut, so returned distances are
         always exact.  ``node`` names the stored row that ``query`` is, if
-        any, so its exact distances come from the pair table; a float query
-        that :meth:`_reads_row` runs layer 0 on :meth:`_search_layer` over
-        the list adjacency, and every other query on the packed
-        :meth:`_search_layer0`.
+        any, so its exact distances come from the pair table, and a float
+        traversal from it reads one Python row (:meth:`_query_kernel`).
+        Greedy descent crosses the upper layers and :meth:`_search_layer`
+        runs layer 0.
         """
         assert self._entry is not None
-        reads_row = self._reads_row(node)
-        if not reads_row:
-            self._ensure_packed()
         width = max(ef if ef is not None else self.ef_search, k)
         kernel = self._query_kernel(query, qnorm, node)
         curr = self._entry
@@ -686,10 +606,7 @@ class HnswIndex:
             (d_curr,) = kernel([curr])
             for layer in range(top, 0, -1):
                 curr, d_curr = self._greedy_descend(kernel, curr, d_curr, layer)
-        if reads_row:
-            found = self._search_layer(kernel, [curr], width, 0)
-        else:
-            found = self._search_layer0(kernel, [curr], width)
+        found = self._search_layer(kernel, [curr], width, 0)
         ids = np.fromiter((nid for _, nid in found), dtype=np.intp, count=len(found))
         if self._quantized:
             dists = (

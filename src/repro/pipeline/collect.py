@@ -22,7 +22,7 @@ checkpoints and obs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.classify.model import CategoryClassifier
 from repro.embedding.model import EmbeddingModel
@@ -135,22 +135,14 @@ class CollectionResult:
         )
 
 
-#: The flat ``PromptCollector.__init__`` kwargs removed with the
-#: elastic-fleet API redesign; each raises a :class:`TypeError` naming
-#: the :class:`CollectionConfig` field that replaced it.
-_REMOVED_KWARGS = tuple(f.name for f in fields(CollectionConfig))
-
-
 class PromptCollector:
     """Runs the full Figure-3a pipeline over a raw corpus.
 
     Configure with a :class:`CollectionConfig` — or pass a whole
     :class:`~repro.pipeline.config.PipelineConfig`, whose ``collection``
     section (and ``seed``, unless given explicitly) is used.  Those are
-    the only construction paths; the pre-config flat stage kwargs
-    (``dedup_threshold=...`` etc.) raise a :class:`TypeError` naming the
-    config field to use.  Without a ``classifier``, the default one is
-    fitted the first time a prompt is left to classify.
+    the only construction paths.  Without a ``classifier``, the default
+    one is fitted the first time a prompt is left to classify.
     """
 
     def __init__(
@@ -160,19 +152,7 @@ class PromptCollector:
         classifier: CategoryClassifier | None = None,
         config=None,
         seed: int | None = None,
-        **rejected,
     ):
-        if rejected:
-            flat = sorted(set(rejected) & set(_REMOVED_KWARGS))
-            if flat:
-                raise TypeError(
-                    f"PromptCollector() no longer accepts flat kwargs {flat}; "
-                    "pass the matching CollectionConfig field instead — "
-                    "config=PipelineConfig(collection=CollectionConfig(...))"
-                )
-            raise TypeError(
-                f"PromptCollector() got unexpected keyword arguments {sorted(rejected)}"
-            )
         # A PipelineConfig carries the collection section plus the run seed
         # (duck-typed to keep this module import-cycle free).
         if config is not None and hasattr(config, "collection"):

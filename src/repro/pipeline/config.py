@@ -13,7 +13,7 @@ configuration it started with.
 
 ``PromptCollector`` and ``PairGenerator`` both accept a ``PipelineConfig``
 directly (they read their own section); that nested surface is the only
-construction path — the old flat kwargs raise a :class:`TypeError`.
+construction path.
 """
 
 from __future__ import annotations

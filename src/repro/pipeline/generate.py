@@ -20,7 +20,7 @@ critic implements each listed criterion.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.golden import MAX_DIRECTIVES, GoldenData, build_golden_data, render_complement
 from repro.errors import ConfigError
@@ -244,20 +244,12 @@ class PairCritic:
         return CritiqueResult(True, "valid supplement")
 
 
-#: The flat ``PairGenerator.__init__`` kwargs removed with the
-#: elastic-fleet API redesign; each raises a :class:`TypeError` naming
-#: the :class:`GenerationConfig` field that replaced it.
-_REMOVED_KWARGS = tuple(f.name for f in fields(GenerationConfig))
-
-
 class PairGenerator:
     """Algorithm 1 end to end: generate, critique, regenerate.
 
     Configure with a :class:`GenerationConfig` — or pass a whole
     :class:`~repro.pipeline.config.PipelineConfig`, whose ``generation``
-    section is used.  Those are the only construction paths; the
-    pre-config flat loop kwargs (``max_rounds=...`` etc.) raise a
-    :class:`TypeError` naming the config field to use.
+    section is used.  Those are the only construction paths.
     """
 
     def __init__(
@@ -266,19 +258,7 @@ class PairGenerator:
         critic: SimulatedLLM | None = None,
         golden: GoldenData | None = None,
         config=None,
-        **rejected,
     ):
-        if rejected:
-            flat = sorted(set(rejected) & set(_REMOVED_KWARGS))
-            if flat:
-                raise TypeError(
-                    f"PairGenerator() no longer accepts flat kwargs {flat}; "
-                    "pass the matching GenerationConfig field instead — "
-                    "config=PipelineConfig(generation=GenerationConfig(...))"
-                )
-            raise TypeError(
-                f"PairGenerator() got unexpected keyword arguments {sorted(rejected)}"
-            )
         if config is not None and hasattr(config, "generation"):
             config = config.generation
         self.config = config or GenerationConfig()

@@ -70,7 +70,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.errors import ConfigError, UnknownModelError
@@ -290,9 +290,7 @@ class ServingEngine:
     single-replica router — the two spellings are bit-identical).
     ``config`` is an :class:`EngineConfig`, or a full
     :class:`~repro.serve.config.ServingConfig` whose ``engine`` section
-    is used; those are the only construction paths — the historical flat
-    kwargs (``max_inflight=...`` etc.) were removed with the elastic-fleet
-    redesign and now raise a :class:`TypeError` naming the config field.
+    is used; those are the only construction paths.
 
     The engine shares the router's observability bundle: engine metrics
     (``pas_engine_inflight``, ``pas_request_latency_ticks``,
@@ -308,19 +306,7 @@ class ServingEngine:
         self,
         target: Router | PasGateway,
         config: "EngineConfig | object | None" = None,
-        **rejected,
     ):
-        if rejected:
-            flat = sorted(set(rejected) & {f.name for f in fields(EngineConfig)})
-            if flat:
-                raise TypeError(
-                    f"ServingEngine() no longer accepts flat kwargs {flat}; "
-                    "pass the matching EngineConfig field instead — "
-                    "ServingEngine(target, EngineConfig(...)) or a ServingConfig"
-                )
-            raise TypeError(
-                f"ServingEngine() got unexpected keyword arguments {sorted(rejected)}"
-            )
         if config is not None and hasattr(config, "engine") and hasattr(config, "router"):
             config = config.engine
         if isinstance(target, Router):

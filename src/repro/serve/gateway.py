@@ -26,8 +26,9 @@ prompt.  The gateway adds what a production front-end needs —
   failed/degraded serves emit into an event log.  Pass
   ``obs=Observability.enabled()`` to collect; the default all-null
   bundle makes instrumentation free.  Cumulative
-  :class:`GatewayStats` are a *view* over the registry plus the live
-  clients/breakers/caches — one source of truth, same public fields.
+  :class:`GatewayStats` count this gateway's own serves, with
+  observability on or off, and read the live clients/breakers/caches;
+  a registry shared by several gateways holds the sum of their counts.
 
 Message construction follows the library-wide
 :func:`~repro.llm.types.build_messages` convention (prompt as the ``user``
@@ -36,6 +37,7 @@ turn, complement as a preceding ``system`` turn).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -50,7 +52,7 @@ from repro.errors import AugmentationError, CircuitOpenError, ReproError, Unknow
 from repro.llm.api import ChatClient, CompletionMemo, LatencyModel
 from repro.llm.engine import SimulatedLLM
 from repro.llm.types import build_messages
-from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.obs import NULL_OBS, Observability
 from repro.resilience import CircuitBreaker, FaultPlan, RetryPolicy
 from repro.serve.cache import LruCache
 from repro.serve.types import ServeRequest, ServeResponse
@@ -114,12 +116,6 @@ class GatewayConfig(Record):
 register(GatewayConfig)
 
 
-#: The flat ``PasGateway.__init__`` kwargs removed with the elastic-fleet
-#: API redesign; each now raises a :class:`TypeError` naming the
-#: :class:`GatewayConfig` field that replaced it.
-_REMOVED_KWARGS = ("cache_size", "embed_cache_size", "failure_rate", "max_retries", "seed")
-
-
 @dataclass(frozen=True)
 class BatchPlan:
     """The augmentation plan for a batch of requests.
@@ -149,13 +145,15 @@ class BatchPlan:
 class GatewayStats:
     """Cumulative request accounting — a live view, not a mutable bag.
 
-    The counters behind these properties live in the gateway's metrics
-    registry (``pas_requests_total{model,status}``, ``pas_augmented_total``,
-    ``pas_cache_hits_total``, ``pas_tokens_total{kind}``); retry/backoff
-    totals, breaker snapshots, and embedding-tier counters are read straight
-    off the live clients, breakers, and cache.  The public fields match the
-    pre-registry dataclass exactly, so existing callers (and the
-    scalar-vs-batch parity tests, via ``==``) are unaffected.
+    Outcome, augmentation, cache-hit and token counts are the gateway's
+    own tallies.  The same updates feed the bundle's registry series
+    (``pas_requests_total{model,status}``, ``pas_augmented_total``,
+    ``pas_cache_hits_total``, ``pas_tokens_total{kind}``) when metrics are
+    on, but a registry can be shared (a :class:`~repro.serve.router.Router`
+    gives one bundle to every replica), so only the sum over the gateways
+    writing a series equals it.  Retry/backoff totals, breaker snapshots,
+    and embedding-tier counters are read straight off the live clients,
+    breakers, and cache.  ``==`` compares :meth:`as_dict`.
 
     ``requests`` counts every request the gateway attempted; ``failures``
     counts the ones that produced **no answer** — completion retries
@@ -180,19 +178,18 @@ class GatewayStats:
     def __init__(self, gateway: "PasGateway"):
         self._gateway = gateway
 
-    # -- registry-backed counters -------------------------------------- #
+    # -- the gateway's own tallies ------------------------------------- #
 
     @property
     def requests(self) -> int:
-        return int(self._gateway._m_requests.total())
+        return sum(self._gateway._outcomes.values())
 
     def _status_series(self) -> list[tuple[str, str, int]]:
-        """Flat ``(model, status, count)`` rows from the request counter."""
-        rows = []
-        for key, value in self._gateway._m_requests.series().items():
-            labels = dict(key)
-            rows.append((labels["model"], labels["status"], int(value)))
-        return rows
+        """Flat ``(model, status, count)`` rows, in first-seen order."""
+        return [
+            (model, status, n)
+            for (model, status), n in self._gateway._outcomes.items()
+        ]
 
     @property
     def failures(self) -> int:
@@ -219,19 +216,19 @@ class GatewayStats:
 
     @property
     def augmented(self) -> int:
-        return int(self._gateway._m_augmented.total())
+        return self._gateway._augmented
 
     @property
     def cache_hits(self) -> int:
-        return int(self._gateway._m_cache_hits.total())
+        return self._gateway._cache_hits
 
     @property
     def prompt_tokens(self) -> int:
-        return int(self._gateway._m_tokens.value(kind="prompt"))
+        return self._gateway._prompt_tokens
 
     @property
     def completion_tokens(self) -> int:
-        return int(self._gateway._m_tokens.value(kind="completion"))
+        return self._gateway._completion_tokens
 
     # -- live component reads ------------------------------------------ #
 
@@ -340,10 +337,7 @@ class PasGateway:
     """Serve augmented completions for any registered target model.
 
     Configure with a :class:`GatewayConfig` (``PasGateway(pas, config=...)``)
-    — the single construction path.  The pre-config flat kwargs
-    (``cache_size``, ``embed_cache_size``, ``failure_rate``,
-    ``max_retries``, ``seed``) were removed with the elastic-fleet API
-    redesign and raise a :class:`TypeError` naming the config field.
+    — the single construction path.
 
     ``obs`` takes an :class:`~repro.obs.Observability` bundle; the gateway
     binds its logical clock into it, threads it through every client and
@@ -376,19 +370,7 @@ class PasGateway:
         embed_cache: LruCache | None = None,
         policy: "AugmentationPolicy | None" = None,
         completion_memos: dict[str, CompletionMemo] | None = None,
-        **rejected,
     ):
-        if rejected:
-            flat = sorted(set(rejected) & set(_REMOVED_KWARGS))
-            if flat:
-                raise TypeError(
-                    f"PasGateway() no longer accepts flat kwargs {flat}; "
-                    "pass the matching GatewayConfig field instead — "
-                    "PasGateway(pas, config=GatewayConfig(...))"
-                )
-            raise TypeError(
-                f"PasGateway() got unexpected keyword arguments {sorted(rejected)}"
-            )
         self.config = config or GatewayConfig()
         self.pas = pas
         self.seed = int(self.config.seed)
@@ -416,25 +398,27 @@ class PasGateway:
             )
         self.obs = obs
         self.obs.bind_clock(lambda: self._clock)
-        # The stats source of truth is always a real registry — the user's
-        # when they passed a live one (so their snapshots include gateway
-        # counters), a private one otherwise.
-        self._registry: MetricsRegistry = (
-            obs.metrics if obs.metrics.enabled else MetricsRegistry()
-        )
-        self._m_requests = self._registry.counter(
+        # Stats count this gateway's serves alone: (model, status) ->
+        # requests, in first-seen order, and the served totals.
+        self._outcomes: Counter[tuple[str, str]] = Counter()
+        self._augmented = self._cache_hits = 0
+        self._prompt_tokens = self._completion_tokens = 0
+        # The same updates go to the bundle's registry, which other
+        # components may share (null instruments when metrics are off).
+        metrics = obs.metrics
+        self._m_requests = metrics.counter(
             "pas_requests_total", help="Requests by model and outcome status."
         )
-        self._m_augmented = self._registry.counter(
+        self._m_augmented = metrics.counter(
             "pas_augmented_total", help="Served requests that carried a complement."
         )
-        self._m_cache_hits = self._registry.counter(
+        self._m_cache_hits = metrics.counter(
             "pas_cache_hits_total", help="Complement-cache hits on served requests."
         )
-        self._m_tokens = self._registry.counter(
+        self._m_tokens = metrics.counter(
             "pas_tokens_total", help="Tokens by kind (prompt/completion)."
         )
-        self._m_attempts = self._registry.histogram(
+        self._m_attempts = metrics.histogram(
             "pas_attempts",
             buckets=_ATTEMPT_BUCKETS,
             help="Completion attempts per served request.",
@@ -453,11 +437,11 @@ class PasGateway:
         # trivial Router follows).
         self._policy = policy
         if policy is not None:
-            self._m_policy_pulls = self._registry.counter(
+            self._m_policy_pulls = metrics.counter(
                 "pas_policy_pulls_total",
                 help="Policy arm pulls by strategy and context category.",
             )
-            self._m_policy_reward = self._registry.histogram(
+            self._m_policy_reward = metrics.histogram(
                 "pas_policy_reward",
                 buckets=_REWARD_BUCKETS,
                 help="Judged reward (0-5) per policy-served request.",
@@ -644,6 +628,7 @@ class PasGateway:
         stage: str,
     ) -> ServeResponse:
         """Record one no-answer outcome: counters, span, event, response."""
+        self._outcomes[request.model, "failed"] += 1
         self._m_requests.inc(model=request.model, status="failed")
         message = f"{type(error).__name__}: {error}"
         attempts = getattr(error, "attempts", 0)
@@ -756,12 +741,17 @@ class PasGateway:
             breaker.record_success(self._clock)
 
             status = "ok" if degraded_error is None else "degraded"
+            self._outcomes[request.model, status] += 1
             count_status, observe_attempts = self._served_series[request.model]
             count_status[status]()
             if complement:
+                self._augmented += 1
                 self._count_augmented()
             if was_cached:
+                self._cache_hits += 1
                 self._count_cache_hit()
+            self._prompt_tokens += completion.prompt_tokens
+            self._completion_tokens += completion.completion_tokens
             self._count_prompt_tokens(completion.prompt_tokens)
             self._count_completion_tokens(completion.completion_tokens)
             observe_attempts(completion.retries + 1)
@@ -959,8 +949,3 @@ class PasGateway:
     @property
     def registered_models(self) -> list[str]:
         return sorted(self._clients)
-
-    @property
-    def breaker_states(self) -> dict[str, str]:
-        """Current circuit state per model (models seen so far)."""
-        return {model: breaker.state for model, breaker in sorted(self._breakers.items())}

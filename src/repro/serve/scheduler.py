@@ -22,18 +22,19 @@ any partition of a request stream exactly as its ``ask`` loop does,
 feeding the pulled batches to ``ask_batch`` gives the responses, gateway
 stats, and cache state of the ``ask`` loop over the same sequence.
 
-Each pull appends a :class:`BatchRecord` (the per-batch compatibility
-view), feeds the same numbers into the metrics registry — batch-size /
-occupancy / wait histograms, per-trigger counters that
-:class:`SchedulerStats` reads back — and emits a ``batch.drain`` event
-when an :class:`~repro.obs.Observability` bundle is attached.
+Each pull appends a :class:`BatchRecord`, which :class:`SchedulerStats`
+reads back, feeds the same numbers into the bundle's metrics registry —
+batch-size / occupancy / wait histograms and per-trigger counters — and
+emits a ``batch.drain`` event when an :class:`~repro.obs.Observability`
+bundle is attached.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.obs import NULL_OBS, Observability
 from repro.serve.types import ServeRequest
 from repro.utils.stats import nearest_rank
 
@@ -50,9 +51,8 @@ class BatchRecord:
     """Accounting for one drained batch.
 
     Outcomes belong to whoever serves the batch, so the record holds only
-    the batching numbers.  Every field is also observed into the
-    scheduler's metrics registry at drain time, so the record list and
-    the registry histograms agree.
+    the batching numbers.  Every field is also observed into the bundle's
+    metrics registry at drain time.
     """
 
     tick: int  #: logical time at which the batch drained
@@ -64,12 +64,12 @@ class BatchRecord:
 
 
 class SchedulerStats:
-    """Cumulative scheduler accounting — a live view over the registry.
+    """Cumulative scheduler accounting — a live view over this batcher's
+    submission count and drain records.
 
-    Backed by ``pas_batch_submitted_total``, the ``pas_batch_size``
-    histogram (its sum is the number drained) and
-    ``pas_batches_total{trigger}``; the public fields match the
-    pre-registry dataclass, and ``==`` compares the numbers.
+    A live registry gets the same numbers (``pas_batch_submitted_total``,
+    ``pas_batch_size``, ``pas_batches_total{trigger}``), but one shared by
+    several batchers holds their sums.  ``==`` compares the numbers.
     """
 
     __slots__ = ("_batcher",)
@@ -79,22 +79,20 @@ class SchedulerStats:
 
     @property
     def submitted(self) -> int:
-        return int(self._batcher._m_submitted.total())
+        return self._batcher._submitted
 
     @property
     def drained(self) -> int:
-        return int(self._batcher._m_size.sum())
+        return sum(record.size for record in self._batcher.records)
 
     @property
     def batches(self) -> int:
-        return int(self._batcher._m_batches.total())
+        return len(self._batcher.records)
 
     @property
     def triggers(self) -> dict[str, int]:
-        return {
-            dict(key)["trigger"]: int(value)
-            for key, value in self._batcher._m_batches.series().items()
-        }
+        """Drained batches per trigger, in first-seen order."""
+        return dict(Counter(record.trigger for record in self._batcher.records))
 
     @property
     def mean_batch_size(self) -> float:
@@ -157,7 +155,7 @@ class MicroBatcher:
         drain emits a ``batch.drain`` event (stamped with the drain tick
         in its attributes — the batcher never rebinds the event log's
         clock, so a bundle shared with a gateway keeps the gateway's).
-        Stats counters always work, registry or not.
+        Stats count this batcher alone, registry or not.
     """
 
     def __init__(self, max_batch: int = 8, max_wait: int = 4, obs: Observability = NULL_OBS):
@@ -170,26 +168,26 @@ class MicroBatcher:
         self.obs = obs
         self._clock = 0
         self._pending: list[tuple[int, ServeRequest]] = []
+        # Stats read these two alone; the bundle's registry, which other
+        # components may share, gets the same numbers.
+        self._submitted = 0
         self.records: list[BatchRecord] = []
-        # Stats source of truth: the user's registry when live, else private.
-        self._registry: MetricsRegistry = (
-            obs.metrics if obs.metrics.enabled else MetricsRegistry()
-        )
-        self._m_submitted = self._registry.counter(
+        metrics = obs.metrics
+        self._m_submitted = metrics.counter(
             "pas_batch_submitted_total", help="Requests submitted to the batcher."
         )
-        self._m_batches = self._registry.counter(
+        self._m_batches = metrics.counter(
             "pas_batches_total", help="Drained batches by trigger."
         )
-        self._m_size = self._registry.histogram(
+        self._m_size = metrics.histogram(
             "pas_batch_size", buckets=_SIZE_BUCKETS, help="Drained batch sizes."
         )
-        self._m_occupancy = self._registry.histogram(
+        self._m_occupancy = metrics.histogram(
             "pas_batch_occupancy",
             buckets=_OCCUPANCY_BUCKETS,
             help="Batch size over max_batch at drain.",
         )
-        self._m_wait = self._registry.histogram(
+        self._m_wait = metrics.histogram(
             "pas_batch_wait_ticks",
             buckets=_WAIT_BUCKETS,
             help="Per-request submit-to-drain wait, in logical ticks.",
@@ -224,6 +222,7 @@ class MicroBatcher:
             )
         self._clock = tick
         self._pending.append((tick, request))
+        self._submitted += 1
         self._m_submitted.inc()
 
     def ready(self, now: int) -> str | None:

@@ -1,12 +1,10 @@
 """Tests for the HNSW index, including recall against brute force."""
 
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.ann import hnsw
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.hnsw import HnswIndex
 from repro.errors import IndexError_
@@ -157,49 +155,6 @@ class TestKnnGraph:
             index.knn_graph(k)
 
 
-class TestWhichBeam:
-    """A float index holding its pair table searches each ``knn_graph`` row
-    with the set-based ``_search_layer`` over one Python row of the table;
-    external queries, int8 traversal and the table-free path keep the
-    packed ``_search_layer0``."""
-
-    @staticmethod
-    def _packed_calls(monkeypatch):
-        calls = []
-        original = HnswIndex._search_layer0
-
-        def spy(self, *args, **kwargs):
-            calls.append(len(self))
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(HnswIndex, "_search_layer0", spy)
-        return calls
-
-    def test_table_knn_graph_skips_the_packed_beam(self, monkeypatch):
-        points = _random_points(120, 8)
-        index = HnswIndex(dim=8, seed=0)
-        index.add_batch(points)
-        assert index._pairs is not None
-        calls = self._packed_calls(monkeypatch)
-        assert len(index.knn_graph(5)) == 120
-        assert calls == []
-        index.search_batch_arrays(points[:7], 5)
-        assert len(calls) == 7
-
-    @pytest.mark.parametrize(
-        "pair_limit, quantization", [(0, "none"), (hnsw._PAIR_LIMIT, "int8")]
-    )
-    def test_other_knn_graphs_keep_the_packed_beam(
-        self, monkeypatch, pair_limit, quantization
-    ):
-        with mock.patch.object(hnsw, "_PAIR_LIMIT", pair_limit):
-            index = HnswIndex(dim=8, seed=0, quantization=quantization)
-            index.add_batch(_random_points(120, 8))
-        calls = self._packed_calls(monkeypatch)
-        index.knn_graph(5)
-        assert len(calls) == 120
-
-
 class TestNonFinite:
     BAD = [np.nan, np.inf, -np.inf]
 
@@ -283,6 +238,18 @@ class TestSubnormalQuantization:
         codes, scale = HnswIndex._quantize(vec)
         assert scale == want_scale
         assert codes.tobytes() == np.rint(vec / want_scale).astype(np.int8).tobytes()
+
+    @pytest.mark.parametrize("units", [130, 190, 300])
+    def test_scale_rounded_below_peak_over_127_cannot_wrap_codes(self, units):
+        # peak / 127 rounds to a subnormal scale smaller than itself, so
+        # the quotient passes 127 before the int8 cast.
+        vec = np.array([units * 5e-324, 0.0, -units * 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes, scale = HnswIndex._quantize(vec)
+        assert scale > 0.0
+        assert np.sign(codes).tolist() == np.sign(vec).tolist()
+        assert np.abs(codes.astype(np.int64)).max() <= 127
 
 
 class TestDeterminism:

@@ -111,7 +111,7 @@ class TestRemovedFlatKwargs:
             PromptCollector(quality_threshold=0.5, skip_dedup=True)
 
     def test_collector_flat_kwargs_error_points_at_config(self):
-        with pytest.raises(TypeError, match="CollectionConfig"):
+        with pytest.raises(TypeError, match="quality_threshold"):
             PromptCollector(config=CollectionConfig(), quality_threshold=0.4)
 
     def test_collector_unknown_kwarg_raises(self):

@@ -74,7 +74,9 @@ def _gateway(trained_pas, policy=None, obs=None) -> PasGateway:
 
 
 def _metric_names(gateway: PasGateway) -> set[str]:
-    snapshot = gateway._registry.snapshot()
+    """Series names in the gateway's (live) metrics bundle."""
+    assert gateway.obs.metrics.enabled
+    snapshot = gateway.obs.metrics.snapshot()
     return set(snapshot["counters"]) | set(snapshot["histograms"]) | set(
         snapshot["gauges"]
     )
@@ -87,7 +89,7 @@ def _metric_names(gateway: PasGateway) -> set[str]:
 
 class TestPolicyOffParity:
     def test_no_strategy_key_and_no_policy_metrics(self, trained_pas, requests):
-        gateway = _gateway(trained_pas)
+        gateway = _gateway(trained_pas, obs=Observability.enabled())
         responses = [gateway.ask(r) for r in requests]
         assert all(r.strategy is None for r in responses)
         assert all("strategy" not in r.as_dict() for r in responses)
@@ -121,7 +123,11 @@ class TestPolicyOffParity:
     def test_policy_metrics_registered_only_with_policy(
         self, trained_pas, corpus, requests
     ):
-        gateway = _gateway(trained_pas, policy=_policy(trained_pas, corpus))
+        gateway = _gateway(
+            trained_pas,
+            policy=_policy(trained_pas, corpus),
+            obs=Observability.enabled(),
+        )
         gateway.ask(requests[0])
         names = _metric_names(gateway)
         assert "pas_policy_pulls_total" in names
@@ -242,13 +248,17 @@ class TestFailureSemantics:
     def test_off_corpus_prompts_are_served_but_not_learned_from(
         self, trained_pas, corpus
     ):
-        gateway = _gateway(trained_pas, policy=_policy(trained_pas, corpus))
+        gateway = _gateway(
+            trained_pas,
+            policy=_policy(trained_pas, corpus),
+            obs=Observability.enabled(),
+        )
         response = gateway.ask(
             ServeRequest(prompt="tell me something entirely off-corpus.", model=MODEL)
         )
         assert response.status == "ok"
         assert response.strategy in gateway.policy.strategies
-        counter = gateway._m_policy_pulls
+        counter = gateway.obs.metrics.counter("pas_policy_pulls_total")
         assert counter.total() == 1  # the pull is still visible in metrics
         assert gateway.policy.bandit.total_pulls == 0  # ...but nothing learned
 

@@ -24,13 +24,16 @@ from repro.ann.sharded import ShardedHnswIndex
 from repro.errors import ReproError
 from repro.obs import EventLog, MetricsRegistry, Observability, Tracer, TraceStore
 from repro.resilience import FaultPlan, OutageWindow, RetryPolicy
+from repro.serve.engine import EngineConfig, ServingEngine
 from repro.serve.gateway import (
     STAGES,
     GatewayConfig,
     PasGateway,
     derive_stage_timings,
 )
+from repro.serve.router import Router, RouterConfig
 from repro.serve.scheduler import MicroBatcher
+from repro.serve.traffic import TrafficConfig, TrafficGenerator
 from repro.serve.types import ServeRequest, ServeResponse
 from repro.utils.io import dump_jsonl, load_jsonl
 from repro.world.prompts import PromptFactory
@@ -104,6 +107,42 @@ class TestTransparency:
         assert observed_gw.stats.as_dict() == replay_gw.stats.as_dict()
         assert observed_gw.cache_hit_rate == replay_gw.cache_hit_rate
         assert observed_gw.embed_cache_hit_rate == replay_gw.embed_cache_hit_rate
+
+    def test_replicas_sharing_a_bundle_count_their_own_stats(self, trained_pas):
+        # A Router gives its one bundle to every replica it builds.
+        trace = TrafficGenerator(
+            PROMPTS, TrafficConfig(n_requests=60, seed=CHAOS_SEED)
+        ).trace()
+        stats = {}
+        for mode, obs in (("off", Observability()), ("on", Observability.enabled())):
+            router = Router(
+                trained_pas, RouterConfig(n_replicas=2, policy="least_loaded"), obs
+            )
+            ServingEngine(router, EngineConfig(max_inflight=2)).run(trace)
+            requests = [g.stats.requests for g in router.replicas]
+            assert requests == [g.clock for g in router.replicas]
+            assert requests == router.stats.routed
+            stats[mode] = [g.stats.as_dict() for g in router.replicas]
+        assert stats["on"] == stats["off"]
+        # The shared series hold the fleet's sums.
+        assert obs.metrics.counter("pas_requests_total").total() == 60
+        tokens = obs.metrics.counter("pas_tokens_total").value(kind="prompt")
+        assert tokens == sum(s["prompt_tokens"] for s in stats["on"])
+
+    def test_batchers_sharing_a_bundle_count_their_own_stats(self):
+        obs = Observability.enabled()
+        used = MicroBatcher(max_batch=4, max_wait=2, obs=obs)
+        idle = MicroBatcher(max_batch=4, max_wait=2, obs=obs)
+        alone = MicroBatcher(max_batch=4, max_wait=2)
+        for batcher in (used, alone):
+            for tick, prompt in enumerate(PROMPTS[:5]):
+                batcher.submit_at(tick, ServeRequest(prompt=prompt, model="gpt-4-0613"))
+            assert len(batcher.take(4)) == 4
+            assert len(batcher.take(5, force=True)) == 1
+        assert used.stats == alone.stats
+        assert used.stats.triggers == {"size": 1, "flush": 1}
+        assert idle.stats.as_dict() == MicroBatcher(max_batch=4).stats.as_dict()
+        assert obs.metrics.counter("pas_batch_submitted_total").total() == 5
 
     def test_batch_parity_holds_with_tracing_on(self, trained_pas):
         requests = chaos_requests()
