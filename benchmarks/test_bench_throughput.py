@@ -549,7 +549,8 @@ def test_two_tier_cache_throughput(trained_pas, zipf_traffic):
 
     With the complement cache far smaller than the unique-prompt pool,
     most requests re-augment; the embedding tier lets those re-augments
-    skip the hashing pass (the bulk of augmentation cost).
+    reuse the vector the first augment computed instead of embedding the
+    prompt again (normalisation, n-gram lookups and the scatter).
     """
     requests = [
         ServeRequest(prompt=p, model="gpt-4-0613") for p in zipf_traffic

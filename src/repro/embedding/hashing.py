@@ -9,6 +9,7 @@ for cosine-similarity dedup.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
+from typing import TypeVar
 
 import numpy as np
 
@@ -16,10 +17,12 @@ from repro.utils.rng import stable_hash
 
 __all__ = ["bucket_sign", "hash_features", "table_codes"]
 
-#: Most grams one gram table (see :func:`table_codes`) holds.  An entry
-#: costs about 120 B, so a full table is about 4 MB; a 10k-prompt
+#: Most keys one table (see :func:`table_codes`) holds.  A gram entry
+#: costs about 120 B, so a full gram table is about 4 MB; a 10k-prompt
 #: generated corpus has under 8k distinct grams.
 _TABLE_LIMIT = 1 << 15
+
+_Code = TypeVar("_Code")
 
 
 def bucket_sign(feature: str, dim: int) -> tuple[int, float]:
@@ -64,16 +67,17 @@ def hash_features(
 
 
 def table_codes(
-    table: dict, grams: list[Hashable], code: Callable[[Hashable], int]
-) -> list[int]:
+    table: dict, grams: list[Hashable], code: Callable[[Hashable], _Code]
+) -> list[_Code]:
     """The codes of ``grams``, looked up in ``table`` and memoised there.
 
     A gram the table lacks costs one ``code(gram)`` call (a blake2b digest
-    in both callers) and is stored while the table holds fewer than
-    ``_TABLE_LIMIT`` grams; past that it is recomputed on every
+    in the gram tables; the embedder's window table fills a window from
+    its gram table) and is stored while the table holds fewer than
+    ``_TABLE_LIMIT`` keys; past that it is recomputed on every
     occurrence.  A gram's code must depend on the gram alone, so a table
     changes no result, only how often a code is computed.  Threads need no
-    lock: two that miss one gram store the same int, and at worst the
+    lock: two that miss one gram store equal codes, and at worst the
     table passes its limit by a few entries.
     """
     codes = list(map(table.get, grams))

@@ -5,6 +5,21 @@ clustering (§3.1).  Offline we substitute a deterministic bag-of-subwords
 encoder: character 3/4-grams plus word unigrams/bigrams, signed-hashed into a
 fixed-dimensional space and L2-normalised.  Texts sharing surface phrasing
 land close in cosine space — exactly the property dedup and k-NN SFT need.
+
+:meth:`EmbeddingModel.embed` is the per-feature path: it hashes every
+feature string with blake2b, in order, and is the oracle the batched path
+is tested against.  :meth:`EmbeddingModel.embed_batch` reads two
+model-lifetime tables instead, both keyed below the whole text so they pay
+on all-distinct traffic.  The *window table* maps a word window (the space
+before one word, the word, and the next ``max(char_orders) - 1``
+characters) to the codes of the char grams that start in it.  The *gram
+table* beneath it maps a gram to its code and fills window misses: one
+gram recurs in many distinct windows, so hashing windows' grams directly
+would digest each gram many times over.  The rows stay bit-identical to
+``embed`` although char grams arrive in window order: every char
+contribution is ±1.0, so a bin's char sum is an exact integer in any
+order, and the word contributions, whose float sum does depend on order,
+still follow all char contributions in ``embed``'s order.
 """
 
 from __future__ import annotations
@@ -64,6 +79,10 @@ class EmbeddingModel:
         # a key's order is its length.  It lives as long as the model:
         # distinct prompts share most of their grams.
         self._table: dict[str | tuple[str, ...], int] = {}
+        # Word window -> the codes of every char gram starting in it (see
+        # _window_codes), filled from _table.  Also model-lifetime and
+        # keyed below the text: distinct prompts share most of their words.
+        self._windows: dict[str, tuple[int, ...]] = {}
 
     def _features(self, text: str) -> tuple[list[str], list[float]]:
         feats: list[str] = []
@@ -109,43 +128,59 @@ class EmbeddingModel:
     def embed_batch(self, texts: Iterable[str]) -> np.ndarray:
         """Embed many texts into an ``(n, dim)`` matrix.
 
-        Each text's n-grams are looked up in the model's gram table, so a
-        gram pays for its blake2b digest once per model, not once per
-        call, and the whole batch is scattered with one ``np.bincount``.
-        Each row is bit-identical to :meth:`embed` on the same text; an
+        Char grams are read per word window: each space of the padded,
+        normalised text starts one, covering the space, the piece up to
+        the next space, and ``max(char_orders) - 1`` characters of context
+        (so the trailing pad is a window of its own).  Every char gram
+        starts in exactly one window, and a window's codes depend on its
+        string alone (:meth:`_window_codes`), so a recurring word costs
+        one window-table lookup instead of a slice and a lookup per gram.
+        A window miss is filled from the gram table rather than blake2b:
+        a cold 250-prompt corpus has 1,014 distinct windows holding
+        13,452 char grams but only 4,464 distinct char grams.  Word grams
+        are read from the gram table one by one, and the whole batch is
+        scattered with one ``np.bincount``.
+
+        Each row is bit-identical to :meth:`embed` on the same text (see
+        the module docstring for why window order cannot move a bit); an
         empty iterable returns an empty ``(0, dim)`` float matrix.
         """
         texts = list(texts)
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float64)
+        context = max(self.char_orders, default=0)
         codes: list[int] = []
         # Per row: its number of char features, then of word features.
         counts: list[int] = []
         for text in texts:
-            # Grams are listed in the order _features() lists them (char
-            # orders, then word orders), so the scatter below adds colliding
-            # features in the same order embed() does.  The text is
-            # normalised once for both passes.
+            # One text's windows and grams at a time, so a large batch never
+            # holds them all at once.  The text is normalised once for both.
             normalized = textproc.normalize(text)
-            padded = f" {normalized} "
-            grams: list[str | tuple[str, ...]] = []
-            for n in self.char_orders:
-                grams += [padded[i : i + n] for i in range(len(padded) - n + 1)]
-            n_char = len(grams)
+            first = len(codes)
+            if context:
+                padded = f" {normalized} "
+                windows = []
+                start = 0
+                for piece in padded.split(" ")[1:]:
+                    windows.append(padded[start : start + len(piece) + context])
+                    start += len(piece) + 1
+                for window in table_codes(self._windows, windows, self._window_codes):
+                    codes += window
+            n_char = len(codes) - first
             toks = textproc.words_normalized(normalized)
+            grams: list[tuple[str, ...]] = []
             for n in self.word_orders:
                 grams += zip(*(toks[i:] for i in range(n)))
-            # One text's grams at a time, so a large batch never holds
-            # every gram string at once.
             codes += table_codes(self._table, grams, self._code)
-            counts += (n_char, len(grams) - n_char)
+            counts += (n_char, len(grams))
         signed = np.array(codes, dtype=np.intp)
         negative = signed < 0
         weights = np.repeat(np.tile((1.0, self.word_weight), len(texts)), counts)
         rows = np.repeat(np.arange(len(texts)).repeat(2), counts)
-        # bincount adds each bin's weights in element order, as np.add.at
-        # and embed()'s per-feature loop do, so every row is bit-identical
-        # to embed() for any word_weight, collisions included.
+        # bincount adds each bin's weights in element order, starting from
+        # 0.0: each row's exact char sum, then its word weights in embed()'s
+        # order, as embed()'s per-feature loop adds them.  So every row is
+        # bit-identical to embed() for any word_weight, collisions included.
         matrix = np.bincount(
             rows * self.dim + np.where(negative, ~signed, signed),
             weights=np.where(negative, -weights, weights),
@@ -159,6 +194,25 @@ class EmbeddingModel:
             if norm > 1e-12:
                 matrix[i] /= norm
         return matrix
+
+    def _window_codes(self, window: str) -> tuple[int, ...]:
+        """The codes of the char grams that start in one word window.
+
+        Grams start at the window's leading space and at each character
+        up to the next space (all of them when the window has none); a
+        gram is listed only if it ends inside the window, which is cut at
+        the padded text's end.  So the codes depend on the window string
+        alone and never on where it sits in a text.
+        """
+        stop = window.find(" ", 1)
+        if stop < 0:
+            stop = len(window)
+        grams = [
+            window[i : i + n]
+            for n in self.char_orders
+            for i in range(min(stop, len(window) - n + 1))
+        ]
+        return tuple(table_codes(self._table, grams, self._code))
 
     def _code(self, gram: str | tuple[str, ...]) -> int:
         """The signed bucket of one gram, hashed on its ``embed()`` feature

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.errors import ConfigError, UnknownModelError
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
 from repro.serve.gateway import BatchPlan, PasGateway
 from repro.serve.router import Router
 from repro.serve.scheduler import MicroBatcher
@@ -316,9 +316,9 @@ class ServingEngine:
         self.config = config or EngineConfig()
         self._multi = self.router.n_replicas > 1
         self.obs: Observability = self.router.obs
-        self._registry: MetricsRegistry = (
-            self.obs.metrics if self.obs.metrics.enabled else MetricsRegistry()
-        )
+        # The bundle's registry: with observability off it is the null
+        # registry, and EngineStats reads none of these series.
+        self._registry = self.obs.metrics
         self._m_inflight = self._registry.gauge(
             "pas_engine_inflight", help="Completions currently in flight."
         )

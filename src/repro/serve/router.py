@@ -97,7 +97,7 @@ import numpy as np
 from repro.core.pas import PasModel
 from repro.errors import ConfigError
 from repro.llm.api import CompletionMemo
-from repro.obs import NULL_OBS, MetricsRegistry, Observability
+from repro.obs import NULL_OBS, NULL_REGISTRY, Observability
 from repro.serve.cache import LruCache
 from repro.serve.gateway import BatchPlan, GatewayConfig, PasGateway
 from repro.serve.traffic import TimedRequest
@@ -665,13 +665,11 @@ class Router:
     def _register_instruments(self) -> None:
         # The trivial router must not register instruments: an empty
         # registered series still appears in metrics snapshots, which
-        # would break byte-parity with the single-gateway engine.
-        if self.trivial:
-            self._registry = MetricsRegistry()
-        elif self.obs.metrics.enabled:
-            self._registry = self.obs.metrics
-        else:
-            self._registry = MetricsRegistry()
+        # would break byte-parity with the single-gateway engine.  Only a
+        # live bundle reads these series (RouterStats reads none), so
+        # every other router updates the null registry.
+        live = not self.trivial and self.obs.metrics.enabled
+        self._registry = self.obs.metrics if live else NULL_REGISTRY
         self._m_routed = self._registry.counter(
             "pas_router_routed_total", help="Requests placed, by replica."
         )

@@ -25,18 +25,23 @@ __all__ = [
 
 _WORD_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
 _SENT_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
-_WS_RE = re.compile(r"\s+")
 
 
 def normalize(text: str) -> str:
     """Lowercase, strip accents, and collapse whitespace.
+
+    The text is NFKD-decomposed and folded to ASCII first, so the only
+    whitespace left is ASCII: tab through carriage return, ``\\x1c`` to
+    ``\\x1f`` and the space.  ``str.split()`` splits on exactly those, as
+    a ``\\s+`` regex does, so runs of them become one space and the ends
+    are trimmed; the result has no whitespace but single inner spaces.
 
     >>> normalize("  Héllo   World! ")
     'hello world!'
     """
     decomposed = unicodedata.normalize("NFKD", text)
     ascii_only = decomposed.encode("ascii", "ignore").decode("ascii")
-    return _WS_RE.sub(" ", ascii_only).strip().lower()
+    return " ".join(ascii_only.split()).lower()
 
 
 def words(text: str) -> list[str]:

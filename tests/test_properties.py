@@ -47,11 +47,29 @@ from repro.world.quality import FLAW_MARKERS, assess_response
 from repro.core.golden import MAX_DIRECTIVES, render_complement
 from tests.classify_oracle import reference_fit, reference_transform_batch
 from tests.quality_oracle import reference_assess_response
+from tests.textproc_oracle import reference_normalize
 
 _text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=200)
+#: All 128 ASCII code points, then non-ASCII whitespace (``\x85``, no-break,
+#: ogham, thin and ideographic spaces, line and paragraph separators) and
+#: characters that NFKD decomposes into ASCII (``ﬁ``, ``²``, ``é``,
+#: fullwidth ``Ａ``) or into nothing ASCII at all (``ß``, a zero-width space).
+_normalize_text = st.text(
+    alphabet=st.sampled_from(
+        [chr(c) for c in range(128)]
+        + list("\x85\xa0\u1680\u2009\u2028\u2029\u3000\ufb01\xb2\xe9\uff21\xdf\u200b")
+    ),
+    max_size=60,
+)
 
 
 class TestTextProperties:
+    @given(st.one_of(st.text(), _normalize_text))
+    @example("\x1c a\x1f\tb\x85\xa0c\u2028\u3000 ")
+    @settings(max_examples=300)
+    def test_normalize_equals_regex_oracle(self, text):
+        assert textproc.normalize(text) == reference_normalize(text)
+
     @given(_text)
     @settings(max_examples=80)
     def test_normalize_idempotent(self, text):
@@ -100,10 +118,20 @@ class TestHashProperties:
         assert np.allclose(twice, 2 * once)
 
 
-#: The default encoder, and a small non-dyadic one: at dim=8 char and word
+#: The default encoder, and small non-dyadic ones: at dim=8 char and word
 #: features collide often and word_weight=0.3 makes float sums order
 #: sensitive, so only there does a scatter in the wrong order change a row.
-_EMBED_CONFIGS = ({}, {"dim": 8, "word_weight": 0.3})
+#: The last two read char grams in word windows with other edges than the
+#: default 3/4-grams: order 1 starts a gram on the trailing pad, 5-grams
+#: reach across a short next word, and with no order above 2 an empty text
+#: still has the 2-gram "  " and a text's last window can equal a middle
+#: one ("mat mat").
+_EMBED_CONFIGS = (
+    {},
+    {"dim": 8, "word_weight": 0.3},
+    {"dim": 8, "word_weight": 0.3, "char_orders": (1, 2, 5)},
+    {"dim": 8, "word_weight": 0.3, "char_orders": (1, 2)},
+)
 #: One model per config, reused across examples so its gram table is warm.
 _WARM_MODELS = [EmbeddingModel(**config) for config in _EMBED_CONFIGS]
 _short_text = st.sampled_from(
@@ -141,6 +169,7 @@ class TestEmbeddingProperties:
     @pytest.mark.parametrize("which", range(len(_EMBED_CONFIGS)))
     @given(batches=_text_batches())
     @example(batches=[["the cat sat on the mat", "x"], [], ["", "Ça, c'est l'été — déjà vu?"]])
+    @example(batches=[["mat mat", "a b a"], ["", "a"], ["to a mat, a mat"]])
     @settings(max_examples=80, deadline=None)
     def test_batch_rows_equal_embed_warm_or_cold(self, which, batches):
         texts = [text for batch in batches for text in batch]
@@ -173,6 +202,22 @@ class TestEmbeddingProperties:
             for row, text in zip(rows, texts):
                 assert row.tobytes() == model.embed(text).tobytes()
             assert len(model._table) == 40
+
+    def test_window_table_stops_at_its_limit(self, monkeypatch):
+        # The window table shares the gram table's cap: past it a window's
+        # codes are recomputed (from the gram table) on every occurrence.
+        monkeypatch.setattr(embedding_hashing, "_TABLE_LIMIT", 6)
+        model = EmbeddingModel(dim=8, word_weight=0.3, char_orders=(1, 2, 5))
+        texts = [
+            "how do i implement a binary search tree in python",
+            "compose a wedding toast with a friendly voice",
+            "the cat sat on the mat, the cat sat on the mat",
+        ]
+        for _ in range(2):
+            rows = model.embed_batch(texts)
+            for row, text in zip(rows, texts):
+                assert row.tobytes() == model.embed(text).tobytes()
+            assert len(model._windows) == 6
 
 
 _CATEGORIES = ("coding", "math", "writing", "qa", "chitchat")

@@ -21,12 +21,15 @@ import os
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import Observability
+from repro.obs import NULL_OBS, Observability
 from repro.serve import (
     EngineConfig,
     FaultPlan,
     GatewayConfig,
     PasGateway,
+    Router,
+    RouterConfig,
+    ServingConfig,
     ServingEngine,
     TenantProfile,
     TimedRequest,
@@ -208,6 +211,29 @@ class TestDeterminism:
         assert "pas_batch_occupancy" in obs.metrics
         hist = obs.metrics.histogram("pas_request_latency_ticks", buckets=())
         assert hist.count() == result.stats.served + result.stats.failed
+
+    def test_engine_and_router_fill_no_registry_with_observability_off(self, trained_pas):
+        # Neither EngineStats nor RouterStats reads a registry, so with the
+        # null bundle every series goes to the null registry, for the
+        # trivial 1-replica router and for a real fleet alike.
+        single = ServingEngine(_gateway(trained_pas), EngineConfig(max_inflight=4))
+        fleet = ServingEngine(
+            Router(
+                trained_pas,
+                ServingConfig(
+                    router=RouterConfig(n_replicas=2, policy="least_loaded"),
+                    gateway=GatewayConfig(seed=5),
+                ),
+                NULL_OBS,
+            ),
+            EngineConfig(max_inflight=4),
+        )
+        for engine in (single, fleet):
+            result = engine.run(_trace(n=40, seed=5))
+            assert result.stats.served + result.stats.failed == 40
+            assert not engine._registry.enabled
+            assert not engine.router._registry.enabled
+        assert fleet.router.stats.routed_total == 40
 
 
 class TestShedding:
